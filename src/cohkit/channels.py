@@ -216,10 +216,7 @@ def io_completeness_check(ch: KrausChannel, basis=None, tol: float = linalg.DEFA
         index_map, diag = _factor_matrix(k, ZERO_TOL)
         c = np.diag(diag)
         f = index_map.mapping
-        for i in range(d):
-            for j in range(d):
-                if f[i] == f[j]:
-                    gram[i, j] += np.conj(c[i]) * c[j]
+        gram += np.outer(c.conj(), c) * np.equal.outer(f, f)
     return bool(np.max(np.abs(gram - np.eye(d))) <= tol)
 
 

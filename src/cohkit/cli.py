@@ -117,15 +117,17 @@ def _cmd_classify(args) -> int:
 
 
 def _round_trip_residual(model, ch) -> float:
-    extracted = dilation.extract_kraus(model)
+    """Largest entry of S_extracted - S_input, S the channel superoperator."""
     d = ch.dim
+    x = np.stack([k.ravel() for k in dilation.extract_kraus(model).kraus])
+    y = np.stack([k.ravel() for k in ch.kraus])
+    # one d x d^2 row block of S at a time: the full d^2 x d^2 difference
+    # (channel_superoperator) peaks near 800 MB at d=64, the blocks near 50 MB
     worst = 0.0
-    for i in range(d):
-        for j in range(d):
-            unit = np.zeros((d, d), dtype=complex)
-            unit[i, j] = 1.0
-            diff = channels.apply_to_operator(extracted, unit) - channels.apply_to_operator(ch, unit)
-            worst = max(worst, float(np.max(np.abs(diff))))
+    for a in range(d):
+        rows = slice(a * d, (a + 1) * d)
+        diff = x[:, rows].T @ x.conj() - y[:, rows].T @ y.conj()
+        worst = max(worst, float(np.max(np.abs(diff))))
     return worst
 
 

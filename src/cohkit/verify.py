@@ -33,6 +33,10 @@ class PropertyResult:
     tolerance: float
     detail: str = ""
 
+    def __post_init__(self):
+        # checks compare numpy scalars; the JSON report needs a plain bool
+        self.passed = bool(self.passed)
+
 
 def _count(cfg: VerifyConfig, default: int) -> int:
     return default if cfg.trials is None else max(1, int(cfg.trials))

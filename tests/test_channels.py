@@ -88,6 +88,23 @@ def test_io_completeness_on_hand_channels():
     assert channels.io_completeness_check(amplitude_damping())
 
 
+def _sums_to_identity(ops):
+    return np.allclose(sum(k.conj().T @ k for k in ops), np.eye(ops[0].shape[0]))
+
+
+def test_io_completeness_agrees_with_kraus_sum():
+    # measure-and-prepare operators send every column to one row
+    ch = channels.random_io(5, seed=3)
+    for k in ch.kraus:
+        assert len(set(channels.factor_kraus(k)[0].mapping)) == 1
+    assert channels.io_completeness_check(ch) is _sums_to_identity(ch.kraus) is True
+    scaled = channels.kraus_channel([0.9 * k for k in ch.kraus])
+    assert channels.io_completeness_check(scaled) is _sums_to_identity(scaled.kraus) is False
+    b = states.random_unitary(5, seed=4)
+    rotated = channels.kraus_channel([b @ k @ b.conj().T for k in ch.kraus])
+    assert channels.io_completeness_check(rotated, basis=b) is _sums_to_identity(rotated.kraus) is True
+
+
 def test_gio_schur_equivalence_random():
     rng = np.random.default_rng(1)
     for _ in range(10):

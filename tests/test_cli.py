@@ -182,3 +182,21 @@ def test_verify_cli_exit_codes_and_determinism():
     code, text, _ = run_cli("verify", "--seed", "3", "--trials", "2", "--corrupt")
     assert code == 1
     assert "FAIL" in text and "gio_schur_equivalence" in text
+
+
+def test_dilate_round_trip_at_cli_scale(tmp_path):
+    chan = tmp_path / "chan.json"
+    run_cli("gen", "channel", "--family", "gio", "--dim", "64", "--kraus", "3",
+            "--seed", "4", "--out", str(chan))
+    code, text, _ = run_cli("dilate", str(chan), "--out", str(tmp_path / "model.json"), "--json")
+    assert code == 0
+    assert json.loads(text)["round_trip_residual"] <= 1e-10
+
+
+def test_verify_json_report():
+    code, text, _ = run_cli("verify", "--seed", "0", "--trials", "1", "--json")
+    assert code == 0
+    doc = json.loads(text)
+    assert doc["passed"] is True
+    passed = {p["name"] for p in doc["properties"] if p["passed"] is True}
+    assert len(passed) == len(doc["properties"]) == 36

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cohkit import channels, dilation, instruments, states
+from cohkit import channels, cli, dilation, instruments, states
 from cohkit.errors import (
     BadDimensionError,
     IncompatibleFineGrainingError,
@@ -179,3 +179,57 @@ def test_model_validation_guards():
             joint_unitary=model.joint_unitary,
             readout_basis=model.readout_basis,
         ).validate()
+
+
+@pytest.mark.parametrize("name", ["gio", "sio", "io"])
+def test_round_trip_residual_matches_matrix_unit_oracle(name):
+    for d in range(2, 9):
+        if name == "io":
+            ch = channels.random_io(d, seed=d)
+        else:
+            ch = getattr(channels, f"random_{name}")(d, 3, seed=d)
+        model = dilation.dilate(ch)
+        expect = action_residual(dilation.extract_kraus(model), ch)
+        residual = cli._round_trip_residual(model, ch)
+        assert abs(residual - expect) <= 1e-15
+        if name != "gio":
+            # sio and io models read back the input operators exactly
+            assert residual == 0.0
+
+
+def test_round_trip_residual_of_a_perturbed_model_matches_oracle():
+    ch = channels.random_gio(4, 3, seed=7)
+    model = dilation.dilate(ch)
+    u = model.joint_unitary.copy()
+    u[1, 2] += 0.05
+    w, _, vh = np.linalg.svd(u)
+    nudged = dilation.DilationModel(
+        model.system_dim, model.ancilla_dim, model.apparatus_init, w @ vh, model.readout_basis
+    )
+    expect = action_residual(dilation.extract_kraus(nudged), ch)
+    assert expect > 1e-3
+    assert abs(cli._round_trip_residual(nudged, ch) - expect) <= 1e-15
+    # a model of another channel is just as far off, and agrees too
+    other = dilation.dilate(channels.random_gio(4, 3, seed=8))
+    expect = action_residual(dilation.extract_kraus(other), ch)
+    assert expect > 1e-3
+    assert abs(cli._round_trip_residual(other, ch) - expect) <= 1e-15
+
+
+@pytest.mark.parametrize("target", [0, 4])
+def test_round_trip_residual_sees_a_single_output_row(target):
+    # K_n = s_n |target><n|: a reset channel and a weakened copy of it differ
+    # only in superoperator entries whose output row and column are both target
+    def reset(weights):
+        ops = []
+        for n, w in enumerate(weights):
+            k = np.zeros((5, 5), dtype=complex)
+            k[target, n] = w
+            ops.append(k)
+        return channels.kraus_channel(ops)
+
+    model = dilation.dilate(reset(np.ones(5)))
+    weakened = reset(np.linspace(1.0, 0.5, 5))
+    expect = action_residual(dilation.extract_kraus(model), weakened)
+    assert expect > 0.5
+    assert abs(cli._round_trip_residual(model, weakened) - expect) <= 1e-15
