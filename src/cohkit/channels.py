@@ -34,10 +34,6 @@ IO_NOT_SIO = "IO-not-SIO"
 NOT_IO = "not-IO"
 
 
-def _hermitized(m: np.ndarray) -> np.ndarray:
-    return (m + m.conj().T) / 2.0
-
-
 @dataclass(eq=False)
 class KrausChannel:
     """A completely positive map given by its Kraus operators."""
@@ -71,7 +67,7 @@ def kraus_channel(ops, tol: float = linalg.DEFAULT_TOL) -> KrausChannel:
     total = sum(k.conj().T @ k for k in ops)
     tp = bool(np.max(np.abs(total - np.eye(d))) <= tol)
     if not tp:
-        w = linalg.hermitian_eig(_hermitized(total)).eigenvalues
+        w = linalg.hermitian_eig(linalg.hermitize(total)).eigenvalues
         if w.max(initial=0.0) > 1.0 + tol:
             raise BadParameterError("sum K^dag K exceeds the identity: not an operation")
     dual = sum(k @ k.conj().T for k in ops)
@@ -98,7 +94,7 @@ def apply_channel(ch: KrausChannel, rho):
     """
     out = apply_to_operator(ch, rho)
     if ch.trace_preserving:
-        return DensityMatrix(matrix=_hermitized(out))
+        return DensityMatrix(matrix=linalg.hermitize(out))
     return out, float(np.real(np.trace(out)))
 
 
@@ -132,13 +128,16 @@ class IndexMap:
         return m
 
 
-def _rotated_kraus(ch: KrausChannel, basis) -> list[np.ndarray]:
+def _rotated_kraus(ops, basis) -> list[np.ndarray]:
     if basis is None:
-        return list(ch.kraus)
-    from .instruments import _basis_matrix
+        return list(ops)
+    b = linalg.basis_matrix(basis, ops[0].shape[0])
+    return [b.conj().T @ k @ b for k in ops]
 
-    b = _basis_matrix(basis, ch.dim)
-    return [b.conj().T @ k @ b for k in ch.kraus]
+
+def _all_diagonal(ops, zero_tol: float = ZERO_TOL) -> bool:
+    # the one zero test behind GIO: every off-diagonal entry below zero_tol
+    return all(np.max(np.abs(k - np.diag(np.diag(k)))) < zero_tol for k in ops)
 
 
 def _factor_matrix(k: np.ndarray, zero_tol: float) -> tuple[IndexMap, np.ndarray]:
@@ -166,12 +165,7 @@ def factor_kraus(k, basis=None, zero_tol: float = ZERO_TOL) -> tuple[IndexMap, n
     diagonal operator always factors through the identity map. The product
     M(f) @ K_diag reproduces K exactly (up to entries treated as zero).
     """
-    kk = linalg.as_square(k)
-    if basis is not None:
-        from .instruments import _basis_matrix
-
-        b = _basis_matrix(basis, kk.shape[0])
-        kk = b.conj().T @ kk @ b
+    kk = _rotated_kraus([linalg.as_square(k)], basis)[0]
     return _factor_matrix(kk, zero_tol)
 
 
@@ -184,11 +178,8 @@ def classify(ch: KrausChannel, basis=None, zero_tol: float = ZERO_TOL) -> str:
     """
     if not ch.trace_preserving:
         raise NotTracePreservingError("classification is defined for channels")
-    ks = _rotated_kraus(ch, basis)
-    off = 0.0
-    for k in ks:
-        off = max(off, float(np.max(np.abs(k - np.diag(np.diag(k))))))
-    if off < zero_tol:
+    ks = _rotated_kraus(ch.kraus, basis)
+    if _all_diagonal(ks, zero_tol):
         return GIO
     kinds = []
     for k in ks:
@@ -209,7 +200,7 @@ def io_completeness_check(ch: KrausChannel, basis=None, tol: float = linalg.DEFA
     delta_ij; this is algebraically the same as sum K^dag K = 1 restricted to
     incoherent-form lists.
     """
-    ks = _rotated_kraus(ch, basis)
+    ks = _rotated_kraus(ch.kraus, basis)
     d = ch.dim
     gram = np.zeros((d, d), dtype=complex)
     for k in ks:
@@ -218,6 +209,18 @@ def io_completeness_check(ch: KrausChannel, basis=None, tol: float = linalg.DEFA
         f = index_map.mapping
         gram += np.outer(c.conj(), c) * np.equal.outer(f, f)
     return bool(np.max(np.abs(gram - np.eye(d))) <= tol)
+
+
+def _correlation_spectrum(c: np.ndarray, tol: float) -> linalg.Spectrum:
+    # the correlation-matrix contract: Hermitian, unit diagonal, PSD
+    if linalg.hermiticity_defect(c) > tol:
+        raise NotHermitianError("correlation matrix is not Hermitian")
+    if np.max(np.abs(np.diag(c) - 1.0)) > tol:
+        raise DiagonalNotOneError("correlation matrix diagonal is not 1")
+    spec = linalg.hermitian_eig(c, tol=tol)
+    if spec.eigenvalues.min(initial=0.0) < -tol:
+        raise NotPSDError(f"correlation matrix eigenvalue {spec.eigenvalues.min()} below -{tol}")
+    return spec
 
 
 @dataclass(eq=False)
@@ -237,13 +240,7 @@ class CorrelationMatrix:
 
     def validate(self, tol: float = linalg.DEFAULT_TOL) -> "CorrelationMatrix":
         c = linalg.as_square(self.matrix)
-        if linalg.hermiticity_defect(c) > tol:
-            raise NotHermitianError("correlation matrix is not Hermitian")
-        if np.max(np.abs(np.diag(c) - 1.0)) > tol:
-            raise DiagonalNotOneError("correlation matrix diagonal is not 1")
-        w = linalg.hermitian_eig(c, tol=tol).eigenvalues
-        if w.min(initial=0.0) < -tol:
-            raise NotPSDError(f"correlation matrix eigenvalue {w.min()} below -{tol}")
+        _correlation_spectrum(c, tol)
         if np.max(np.abs(self.vectors.conj().T @ self.vectors - c)) > tol:
             raise BadParameterError("vectors are not a Gram factorization of the matrix")
         return self
@@ -253,10 +250,9 @@ def correlation_matrix_of(ch: KrausChannel, basis=None, tol: float = linalg.DEFA
     """Read the dynamical vectors off a diagonal Kraus list."""
     if not ch.trace_preserving:
         raise NotTracePreservingError("correlation matrices describe channels")
-    ks = _rotated_kraus(ch, basis)
-    for k in ks:
-        if np.max(np.abs(k - np.diag(np.diag(k)))) >= ZERO_TOL:
-            raise NotGIOError("Kraus operators are not all diagonal in this basis")
+    ks = _rotated_kraus(ch.kraus, basis)
+    if not _all_diagonal(ks):
+        raise NotGIOError("Kraus operators are not all diagonal in this basis")
     vectors = np.array([np.diag(k) for k in ks])  # shape (r, d)
     c = vectors.conj().T @ vectors
     if np.max(np.abs(np.diag(c) - 1.0)) > tol:
@@ -271,13 +267,7 @@ def gio_from_correlation(c, tol: float = linalg.DEFAULT_TOL) -> KrausChannel:
     number of Kraus operators equals the matrix rank.
     """
     mat = c.matrix if isinstance(c, CorrelationMatrix) else linalg.as_square(c)
-    if linalg.hermiticity_defect(mat) > tol:
-        raise NotHermitianError("correlation matrix is not Hermitian")
-    if np.max(np.abs(np.diag(mat) - 1.0)) > tol:
-        raise DiagonalNotOneError("correlation matrix diagonal is not 1")
-    spec = linalg.hermitian_eig(mat, tol=tol)
-    if spec.eigenvalues.min(initial=0.0) < -tol:
-        raise NotPSDError(f"eigenvalue {spec.eigenvalues.min()} below -{tol}")
+    spec = _correlation_spectrum(mat, tol)
     keep = spec.eigenvalues > RANK_TOL
     vectors = (np.sqrt(spec.eigenvalues[keep])[:, None]) * spec.eigenvectors[:, keep].conj().T
     return kraus_channel([np.diag(row) for row in vectors])
@@ -361,9 +351,7 @@ def evolve_path(ch: KrausChannel, rho, n: int) -> list[DensityMatrix]:
     if not ch.trace_preserving:
         raise NotTracePreservingError("evolution is defined for channels")
     x = linalg.as_square(rho)
-    schur = None
-    if all(np.max(np.abs(k - np.diag(np.diag(k)))) < ZERO_TOL for k in ch.kraus):
-        schur = correlation_matrix_of(ch).matrix.T
+    schur = correlation_matrix_of(ch).matrix.T if _all_diagonal(ch.kraus) else None
     path = [DensityMatrix(matrix=x)]
     for _ in range(n):
         x = schur * x if schur is not None else apply_to_operator(ch, x)

@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import channels, coherence, dilation, instruments, linalg, serialize, states, verify
-from .errors import CohkitError, ParseError, ValidationError
+from .errors import CohkitError, NotGIOError, ParseError, ValidationError
 
 
 def _fmt(x: float) -> str:
@@ -155,7 +155,8 @@ def _cmd_evolve(args) -> int:
     ch = serialize.load(args.channel, expect="channel")
     rho = serialize.load(args.state, expect="state")
     # the entrywise power law only holds for diagonal Kraus lists
-    channels.correlation_matrix_of(ch)
+    if channels.classify(ch) != channels.GIO:
+        raise NotGIOError("Kraus operators are not all diagonal in this basis")
     if args.steps < 0:
         raise ValidationError("--steps must be nonnegative")
     path = channels.evolve_path(ch, rho, args.steps)

@@ -11,7 +11,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DimMismatchError, IncompatibleFineGrainingError
-from .instruments import _basis_matrix, luders
+from .instruments import luders
 from .states import BipartiteState, DensityMatrix, FineGraining, Observable, Povm, fine_graining
 
 P_SKIP = 1e-12
@@ -20,7 +20,7 @@ P_SKIP = 1e-12
 def c_l1(rho, basis) -> float:
     """Sum of off-diagonal absolute values in the given orthonormal basis."""
     r = linalg.as_square(rho)
-    b = _basis_matrix(basis, r.shape[0])
+    b = linalg.basis_matrix(basis, r.shape[0])
     rr = b.conj().T @ r @ b
     return linalg.entrywise_l1(rr) - float(np.sum(np.abs(np.diag(rr))))
 
@@ -28,7 +28,7 @@ def c_l1(rho, basis) -> float:
 def c_re(rho, basis) -> float:
     """Entropy gained by removing off-diagonals in the given basis."""
     r = linalg.as_square(rho)
-    b = _basis_matrix(basis, r.shape[0])
+    b = linalg.basis_matrix(basis, r.shape[0])
     diag = np.real(np.diag(b.conj().T @ r @ b))
     return linalg.shannon_entropy(diag) - linalg.von_neumann_entropy(r)
 
@@ -103,8 +103,7 @@ def luders_on_b(state: BipartiteState, obs: Observable) -> BipartiteState:
     for p in obs.projectors:
         lifted = linalg.tensor(eye_a, p)
         out += lifted @ state.state.matrix @ lifted
-    out = (out + out.conj().T) / 2.0
-    return BipartiteState(dims=state.dims, state=DensityMatrix(matrix=out))
+    return BipartiteState(dims=state.dims, state=DensityMatrix(matrix=linalg.hermitize(out)))
 
 
 def qi_coherence(state: BipartiteState, obs: Observable) -> float:
@@ -137,7 +136,7 @@ def classical_correlation(state: BipartiteState, obs: Observable) -> float:
         p_n = float(np.real(np.trace(cond)))
         if p_n < P_SKIP:
             continue
-        cond = (cond + cond.conj().T) / 2.0 / p_n
+        cond = linalg.hermitize(cond) / p_n
         cond_a = linalg.partial_trace(cond, state.dims, keep=0)
         total += p_n * linalg.relative_entropy(cond_a, rho_a)
         total += p_n * mutual_information(
@@ -151,8 +150,7 @@ def povm_coherence(rho, povm: Povm) -> float:
     r = linalg.as_square(rho)
     if povm.dim != r.shape[0]:
         raise DimMismatchError("state and POVM dimensions differ")
-    sigma = sum(e @ r @ e for e in povm.effects)
-    sigma = (sigma + sigma.conj().T) / 2.0
+    sigma = linalg.hermitize(sum(e @ r @ e for e in povm.effects))
     return linalg._relative_entropy_core(r, sigma, linalg.DEFAULT_TOL)
 
 

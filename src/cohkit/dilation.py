@@ -26,14 +26,12 @@ from .channels import (
 from .errors import (
     BadDimensionError,
     BadParameterError,
-    IncompatibleFineGrainingError,
     InvalidModelError,
     NotIOFormError,
     NotIsometryError,
     UnsupportedClassError,
 )
-from .instruments import _basis_matrix
-from .states import FineGraining, Observable
+from .states import Observable
 
 
 @dataclass(eq=False)
@@ -53,7 +51,7 @@ class DilationModel:
         u = linalg.as_square(self.joint_unitary)
         if u.shape[0] != d_s * d_a:
             raise BadDimensionError("joint unitary does not match system x apparatus")
-        if np.max(np.abs(u.conj().T @ u - np.eye(d_s * d_a))) > tol:
+        if linalg.orthonormality_defect(u) > tol:
             raise InvalidModelError("joint operator is not unitary within tolerance")
         init = np.asarray(self.apparatus_init, dtype=complex)
         if init.shape != (d_a,):
@@ -63,7 +61,7 @@ class DilationModel:
         basis = np.asarray(self.readout_basis, dtype=complex)
         if basis.ndim != 2 or basis.shape[0] != d_a or basis.shape[1] > d_a:
             raise BadDimensionError("readout basis has the wrong shape")
-        if np.max(np.abs(basis.conj().T @ basis - np.eye(basis.shape[1]))) > tol:
+        if linalg.orthonormality_defect(basis) > tol:
             raise InvalidModelError("readout basis columns are not orthonormal")
         return self
 
@@ -150,7 +148,7 @@ def extend_to_unitary(v: np.ndarray, apparatus_init) -> np.ndarray:
         raise BadDimensionError("apparatus init vector has the wrong length")
     if abs(np.linalg.norm(init) - 1.0) > linalg.DEFAULT_TOL:
         raise BadParameterError("apparatus init vector is not normalized")
-    if np.max(np.abs(v.conj().T @ v - np.eye(d_s))) > linalg.DEFAULT_TOL:
+    if linalg.orthonormality_defect(v) > linalg.DEFAULT_TOL:
         raise NotIsometryError("V is not an isometry within tolerance")
     eye_s = np.eye(d_s, dtype=complex)
     u = v @ np.kron(eye_s, init[:, None]).conj().T
@@ -162,24 +160,42 @@ def extend_to_unitary(v: np.ndarray, apparatus_init) -> np.ndarray:
     return u
 
 
+def _stacked_isometry(ops) -> np.ndarray:
+    # sum_n K_n (x) |n>: row i*r + n of the result is row i of K_n
+    d = ops[0].shape[0]
+    return np.stack(ops, axis=1).reshape(d * len(ops), d)
+
+
 def effective_isometry(ch: KrausChannel, basis=None) -> np.ndarray:
     """V = sum_n K_n (x) |a_n> for an incoherent channel; V^dag V = 1."""
     label = classify(ch, basis)
     if label not in (GIO, SIO_NOT_GIO, IO_NOT_SIO):
         raise NotIOFormError("an incoherent Kraus list is required")
-    d, r = ch.dim, ch.n_kraus
-    v = np.zeros((d * r, d), dtype=complex)
-    for n, k in enumerate(ch.kraus):
-        e_n = np.zeros((r, 1), dtype=complex)
-        e_n[n] = 1.0
-        v += np.kron(k, e_n)
-    return v
+    return _stacked_isometry(ch.kraus)
 
 
 def _standard_init(dim: int) -> np.ndarray:
     init = np.zeros(dim, dtype=complex)
     init[0] = 1.0
     return init
+
+
+def _pointer_model(joint_unitary: np.ndarray, system_dim: int) -> DilationModel:
+    # apparatus starts in |0> and is read in its standard basis
+    d_a = joint_unitary.shape[0] // system_dim
+    return DilationModel(
+        system_dim=system_dim,
+        ancilla_dim=d_a,
+        apparatus_init=_standard_init(d_a),
+        joint_unitary=joint_unitary,
+        readout_basis=np.eye(d_a, dtype=complex),
+    ).validate()
+
+
+def _isometry_model(v: np.ndarray) -> DilationModel:
+    # complete V = sum_n K_n (x) |n> to a unitary on system x apparatus
+    d = v.shape[1]
+    return _pointer_model(extend_to_unitary(v, _standard_init(v.shape[0] // d)), d)
 
 
 def dilate_von_neumann(basis) -> DilationModel:
@@ -189,44 +205,14 @@ def dilate_von_neumann(basis) -> DilationModel:
     the rank-one projectors |phi_n><phi_n|.
     """
     b = np.asarray(getattr(basis, "basis", basis), dtype=complex)
-    d = b.shape[0]
-    b = _basis_matrix(b, d)
-    v = np.zeros((d * d, d), dtype=complex)
-    for n in range(d):
-        e_n = np.zeros((d, 1), dtype=complex)
-        e_n[n] = 1.0
-        col = b[:, n:n + 1]
-        v += np.kron(col, e_n) @ col.conj().T
-    init = _standard_init(d)
-    u = extend_to_unitary(v, init)
-    return DilationModel(
-        system_dim=d,
-        ancilla_dim=d,
-        apparatus_init=init,
-        joint_unitary=u,
-        readout_basis=np.eye(d, dtype=complex),
-    ).validate()
+    b = linalg.basis_matrix(b, b.shape[0])
+    projectors = [c @ c.conj().T for c in np.hsplit(b, b.shape[1])]
+    return _isometry_model(_stacked_isometry(projectors))
 
 
-def dilate_luders(obs: Observable, fg: FineGraining | None = None) -> DilationModel:
+def dilate_luders(obs: Observable) -> DilationModel:
     """Pointer model of the degenerate reading; extracted Kraus are the P_n."""
-    if fg is not None and not fg.refines(obs):
-        raise IncompatibleFineGrainingError("fine-graining does not refine the observable")
-    d, n_out = obs.dim, obs.n_outcomes
-    v = np.zeros((d * n_out, d), dtype=complex)
-    for n, p in enumerate(obs.projectors):
-        e_n = np.zeros((n_out, 1), dtype=complex)
-        e_n[n] = 1.0
-        v += np.kron(p, e_n)
-    init = _standard_init(n_out)
-    u = extend_to_unitary(v, init)
-    return DilationModel(
-        system_dim=d,
-        ancilla_dim=n_out,
-        apparatus_init=init,
-        joint_unitary=u,
-        readout_basis=np.eye(n_out, dtype=complex),
-    ).validate()
+    return _isometry_model(_stacked_isometry(obs.projectors))
 
 
 def dilate_gio(ch: KrausChannel, basis=None) -> DilationModel:
@@ -242,34 +228,18 @@ def dilate_gio(ch: KrausChannel, basis=None) -> DilationModel:
         vectors = np.vstack([vectors, np.zeros((1, vectors.shape[1]), dtype=complex)])
     d_a = vectors.shape[0]
     d = ch.dim
-    b = np.eye(d, dtype=complex) if basis is None else _basis_matrix(basis, d)
+    b = np.eye(d, dtype=complex) if basis is None else linalg.basis_matrix(basis, d)
     init = _standard_init(d_a)
     u = np.zeros((d * d_a, d * d_a), dtype=complex)
     for i in range(d):
         col = b[:, i:i + 1]
         u += np.kron(col @ col.conj().T, householder_unitary(init, vectors[:, i]))
-    return DilationModel(
-        system_dim=d,
-        ancilla_dim=d_a,
-        apparatus_init=init,
-        joint_unitary=u,
-        readout_basis=np.eye(d_a, dtype=complex),
-    ).validate()
+    return _pointer_model(u, d)
 
 
 def dilate_incoherent(ch: KrausChannel, basis=None) -> DilationModel:
     """Isometry-plus-completion model; extracted Kraus equal the input list."""
-    v = effective_isometry(ch, basis)
-    d, r = ch.dim, ch.n_kraus
-    init = _standard_init(r)
-    u = extend_to_unitary(v, init)
-    return DilationModel(
-        system_dim=d,
-        ancilla_dim=r,
-        apparatus_init=init,
-        joint_unitary=u,
-        readout_basis=np.eye(r, dtype=complex),
-    ).validate()
+    return _isometry_model(effective_isometry(ch, basis))
 
 
 def dilate(ch: KrausChannel, basis=None) -> DilationModel:

@@ -12,10 +12,8 @@ import numpy as np
 
 from . import linalg
 from .errors import (
-    BadBasisError,
     BadParameterError,
     DimMismatchError,
-    NonOrthonormalError,
     VectorOutsideEigenspaceError,
     ZeroProbabilityOutcomeError,
 )
@@ -29,19 +27,6 @@ from .states import (
 )
 
 PROB_FLOOR = 1e-12
-
-
-def _basis_matrix(basis, dim: int, tol: float = linalg.DEFAULT_TOL) -> np.ndarray:
-    b = np.asarray(getattr(basis, "basis", basis), dtype=complex)
-    if b.shape != (dim, dim):
-        raise BadBasisError(f"basis must be {dim}x{dim}, got {b.shape}")
-    if np.max(np.abs(b.conj().T @ b - np.eye(dim))) > tol:
-        raise BadBasisError("basis columns are not orthonormal")
-    return b
-
-
-def _hermitized(m: np.ndarray) -> np.ndarray:
-    return (m + m.conj().T) / 2.0
 
 
 def born_probabilities(rho, measurement) -> np.ndarray:
@@ -59,7 +44,7 @@ def born_probabilities(rho, measurement) -> np.ndarray:
 def dephase(rho, basis) -> DensityMatrix:
     """Remove all off-diagonal entries of rho in the given orthonormal basis."""
     r = linalg.as_square(rho)
-    b = _basis_matrix(basis, r.shape[0])
+    b = linalg.basis_matrix(basis, r.shape[0])
     diag = np.real(np.diag(b.conj().T @ r @ b))
     return DensityMatrix(matrix=(b * diag) @ b.conj().T)
 
@@ -70,7 +55,7 @@ def luders(rho, obs: Observable) -> DensityMatrix:
     if obs.dim != r.shape[0]:
         raise DimMismatchError("state and observable dimensions differ")
     out = sum(p @ r @ p for p in obs.projectors)
-    return DensityMatrix(matrix=_hermitized(out))
+    return DensityMatrix(matrix=linalg.hermitize(out))
 
 
 def luders_outcome(
@@ -84,7 +69,7 @@ def luders_outcome(
     prob = float(np.real(np.trace(p_n @ r)))
     if prob <= threshold:
         raise ZeroProbabilityOutcomeError(f"outcome {n} has probability {prob}")
-    post = _hermitized(p_n @ r @ p_n) / prob
+    post = linalg.hermitize(p_n @ r @ p_n) / prob
     return prob, DensityMatrix(matrix=post)
 
 
@@ -101,7 +86,7 @@ def optimal_fine_grain(obs: Observable, rho) -> FineGraining:
     for n in range(obs.n_outcomes):
         b_n = obs.block_basis(n)
         block_rho = b_n.conj().T @ r @ b_n
-        spec = linalg.hermitian_eig(_hermitized(block_rho))
+        spec = linalg.hermitian_eig(linalg.hermitize(block_rho))
         blocks.append(b_n @ spec.eigenvectors)
     return fine_graining(obs, tuple(blocks))
 
@@ -120,19 +105,11 @@ def repeatable_instrument(obs: Observable, theta, fg: FineGraining | None = None
         fg = fine_graining(obs)
     elif not fg.refines(obs):
         raise VectorOutsideEigenspaceError("fine-graining does not refine the observable")
-    theta = tuple(np.asarray(t, dtype=complex) for t in theta)
     if len(theta) != obs.n_outcomes:
         raise BadParameterError("one theta block per outcome is required")
-    ops = []
-    for n, (t, p, d_n) in enumerate(zip(theta, obs.projectors, obs.degeneracies)):
-        if t.shape != (obs.dim, d_n):
-            raise DimMismatchError(f"theta block {n} must be {obs.dim}x{d_n}")
-        if np.max(np.abs(t.conj().T @ t - np.eye(d_n))) > linalg.DEFAULT_TOL:
-            raise NonOrthonormalError(f"theta block {n} is not orthonormal")
-        if np.max(np.abs(p @ t - t)) > linalg.DEFAULT_TOL:
-            raise VectorOutsideEigenspaceError(f"theta block {n} leaves range(P_{n})")
-        ops.append(t @ fg.blocks[n].conj().T)
-    return kraus_channel(ops)
+    # theta has the contract of a fine-graining's blocks, so it is checked as one
+    theta = fine_graining(obs, theta).blocks
+    return kraus_channel([t @ b.conj().T for t, b in zip(theta, fg.blocks)])
 
 
 def generalized_luders(rho, povm: Povm) -> DensityMatrix:
@@ -148,7 +125,7 @@ def generalized_luders(rho, povm: Povm) -> DensityMatrix:
         w = np.where(spec.eigenvalues > 1e-12, spec.eigenvalues, 0.0)
         root = (spec.eigenvectors * np.sqrt(w)) @ spec.eigenvectors.conj().T
         out += root @ r @ root
-    return DensityMatrix(matrix=_hermitized(out))
+    return DensityMatrix(matrix=linalg.hermitize(out))
 
 
 def unitary_mixing(obs: Observable) -> list[np.ndarray]:
@@ -177,4 +154,4 @@ def random_block_diagonal(obs: Observable, seed=0) -> DensityMatrix:
         b_n = obs.block_basis(n)
         block = random_density(obs.degeneracies[n], seed=rng).matrix
         out += weights[n] * (b_n @ block @ b_n.conj().T)
-    return DensityMatrix(matrix=_hermitized(out))
+    return DensityMatrix(matrix=linalg.hermitize(out))

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    BadBasisError,
     BadParameterError,
     DimMismatchError,
     InvalidStateError,
@@ -48,6 +49,29 @@ def hermiticity_defect(m) -> float:
     return float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
 
 
+def hermitize(m: np.ndarray) -> np.ndarray:
+    """Hermitian part (M + M^dag) / 2, which removes rounding asymmetry."""
+    return (m + m.conj().T) / 2.0
+
+
+def orthonormality_defect(b: np.ndarray) -> float:
+    """Largest entry of B^dag B - 1: how far the columns of B are from orthonormal."""
+    return float(np.max(np.abs(b.conj().T @ b - np.eye(b.shape[1]))))
+
+
+def basis_matrix(basis, dim: int, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """A dim x dim unitary whose columns form the basis.
+
+    ``basis`` is a matrix or an object with a ``.basis`` (a fine-graining).
+    """
+    b = np.asarray(getattr(basis, "basis", basis), dtype=complex)
+    if b.shape != (dim, dim):
+        raise BadBasisError(f"basis must be {dim}x{dim}, got {b.shape}")
+    if orthonormality_defect(b) > tol:
+        raise BadBasisError("basis columns are not orthonormal")
+    return b
+
+
 @dataclass(eq=False)
 class Spectrum:
     """Eigenvalues sorted non-increasing, with aligned orthonormal eigenvector columns."""
@@ -62,13 +86,13 @@ def hermitian_eig(m, tol: float = DEFAULT_TOL) -> Spectrum:
     Eigenvalues come back sorted non-increasing; ties keep the solver's
     ordering so repeated calls are deterministic. The reconstruction
     ``V diag(w) V^dag`` matches the input to 1e-10 for the dimensions this
-    toolkit works at (d <= 16).
+    toolkit works at (d <= 64).
     """
     a = as_square(m)
     if hermiticity_defect(a) > tol:
         raise NotHermitianError(f"matrix is not Hermitian within {tol}")
     try:
-        w, v = np.linalg.eigh((a + a.conj().T) / 2.0)
+        w, v = np.linalg.eigh(hermitize(a))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NoConvergenceError(str(exc)) from exc
     order = np.argsort(-w, kind="stable")

@@ -225,7 +225,7 @@ def fine_graining(obs: Observable, blocks=None, tol: float = linalg.DEFAULT_TOL)
         for n, (b, p, d_n) in enumerate(zip(blocks, obs.projectors, obs.degeneracies)):
             if b.shape != (obs.dim, d_n):
                 raise DimMismatchError(f"block {n} must be {obs.dim}x{d_n}")
-            if np.max(np.abs(b.conj().T @ b - np.eye(d_n))) > tol:
+            if linalg.orthonormality_defect(b) > tol:
                 raise NonOrthonormalError(f"block {n} columns are not orthonormal")
             if np.max(np.abs(p @ b - b)) > tol:
                 raise VectorOutsideEigenspaceError(f"block {n} leaves range(P_{n})")

@@ -3,9 +3,13 @@ import pytest
 
 from cohkit import channels, linalg, states
 from cohkit.errors import (
+    BadBasisError,
     BadParameterError,
+    DiagonalNotOneError,
     NotGIOError,
+    NotHermitianError,
     NotIOFormError,
+    NotPSDError,
     NotTracePreservingError,
     NotUnitalError,
 )
@@ -219,3 +223,43 @@ def test_random_families_classify_as_advertised():
         channels.SIO_NOT_GIO,
         channels.IO_NOT_SIO,
     )
+
+
+BAD_CORRELATIONS = [
+    (np.array([[1.0, 0.5], [0.0, 1.0]]), NotHermitianError),
+    (np.array([[2.0, 0.0], [0.0, 1.0]]), DiagonalNotOneError),
+    (np.array([[1.0, 2.0], [2.0, 1.0]]), NotPSDError),
+]
+
+
+@pytest.mark.parametrize("matrix, error", BAD_CORRELATIONS)
+def test_correlation_checks_raise_the_same_classes(matrix, error):
+    with pytest.raises(error):
+        channels.gio_from_correlation(matrix)
+    with pytest.raises(error):
+        channels.CorrelationMatrix(matrix=matrix, vectors=np.eye(2)).validate()
+
+
+def test_classify_rejects_non_unitary_basis():
+    with pytest.raises(BadBasisError):
+        channels.classify(channels.phase_damping(0.75), basis=2.0 * np.eye(2))
+
+
+@pytest.mark.parametrize("off, diagonal", [(0.5e-10, True), (2e-10, False)])
+def test_diagonal_kraus_decisions_agree_at_zero_tol(off, diagonal):
+    # off-diagonal entries on either side of ZERO_TOL decide GIO, the
+    # correlation matrix and the Schur-form evolution the same way
+    k0 = np.sqrt(0.5) * np.eye(2, dtype=complex)
+    k1 = np.sqrt(0.5) * np.diag([1.0, -1.0]).astype(complex)
+    k1[0, 1] = off
+    ch = channels.kraus_channel([k0, k1])
+    assert ch.trace_preserving
+    assert (channels.classify(ch) == channels.GIO) is diagonal
+    step = channels.evolve_path(ch, PLUS, 1)[1].matrix
+    if diagonal:
+        schur = channels.correlation_matrix_of(ch).matrix.T
+        assert np.array_equal(step, schur * PLUS)
+    else:
+        with pytest.raises(NotGIOError):
+            channels.correlation_matrix_of(ch)
+        assert np.array_equal(step, channels.apply_to_operator(ch, PLUS))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cohkit import coherence, instruments, states
-from cohkit.errors import IncompatibleFineGrainingError
+from cohkit.errors import BadBasisError, IncompatibleFineGrainingError
 
 PLUS = np.full((2, 2), 0.5)
 
@@ -33,6 +33,11 @@ def test_pure_qubit_l1_closed_form():
         rho = np.outer(v, v)
         expect = 2.0 * math.sqrt(p * (1.0 - p))
         assert abs(coherence.c_l1(rho, np.eye(2)) - expect) < 1e-12
+
+
+def test_c_l1_rejects_non_unitary_basis():
+    with pytest.raises(BadBasisError):
+        coherence.c_l1(PLUS, 0.5 * np.eye(2))
 
 
 def test_coarse_measures_vanish_on_block_diagonal_states():

@@ -4,7 +4,6 @@ import pytest
 from cohkit import channels, cli, dilation, instruments, states
 from cohkit.errors import (
     BadDimensionError,
-    IncompatibleFineGrainingError,
     InvalidModelError,
     NotIsometryError,
     UnsupportedClassError,
@@ -48,8 +47,9 @@ def test_luders_model_pinches():
     ch = dilation.extract_kraus(model)
     for k, p in zip(ch.kraus, obs.projectors):
         assert np.max(np.abs(k - p)) < 1e-10
+    # the model depends on the projectors only, so no fine-graining is taken
     other = states.random_observable(4, (2, 2), seed=3)
-    with pytest.raises(IncompatibleFineGrainingError):
+    with pytest.raises(TypeError):
         dilation.dilate_luders(obs, states.fine_graining(other))
 
 

@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 from cohkit import instruments, linalg, states
-from cohkit.errors import BadParameterError, ZeroProbabilityOutcomeError
+from cohkit.errors import (
+    BadBasisError,
+    BadParameterError,
+    DimMismatchError,
+    NonOrthonormalError,
+    VectorOutsideEigenspaceError,
+    ZeroProbabilityOutcomeError,
+)
 
 PLUS = np.full((2, 2), 0.5)
 
@@ -92,6 +99,24 @@ def test_repeatable_instrument_is_repeatable():
         p = obs.projectors[n]
         branch = k @ rho @ k.conj().T
         assert np.max(np.abs(branch - p @ branch @ p)) < 1e-12
+
+
+def test_repeatable_instrument_rejects_bad_theta_blocks():
+    obs = states.random_observable(4, (2, 2), seed=5)
+    theta = [obs.block_basis(0), obs.block_basis(1)]
+    with pytest.raises(DimMismatchError):
+        instruments.repeatable_instrument(obs, [theta[0][:, :1], theta[1]])
+    with pytest.raises(NonOrthonormalError):
+        instruments.repeatable_instrument(obs, [2.0 * theta[0], theta[1]])
+    with pytest.raises(VectorOutsideEigenspaceError):
+        instruments.repeatable_instrument(obs, [theta[1], theta[0]])
+
+
+def test_dephase_rejects_non_unitary_basis():
+    with pytest.raises(BadBasisError):
+        instruments.dephase(PLUS, np.array([[1.0, 1.0], [0.0, 1.0]]))
+    with pytest.raises(BadBasisError):
+        instruments.dephase(PLUS, np.eye(3))
 
 
 def test_generalized_luders_reduces_to_pinching():

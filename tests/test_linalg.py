@@ -19,7 +19,7 @@ def rand_hermitian(rng, d):
 
 def test_hermitian_eig_reconstructs_sorted():
     rng = np.random.default_rng(11)
-    for d in (2, 3, 5, 8, 16):
+    for d in (2, 3, 5, 8, 16, 64):
         h = rand_hermitian(rng, d)
         spec = linalg.hermitian_eig(h)
         rebuilt = (spec.eigenvectors * spec.eigenvalues) @ spec.eigenvectors.conj().T
