@@ -312,7 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--trials", type=int, default=None,
                    help="override the per-property instance counts")
-    v.add_argument("--dim-max", type=int, default=8)
+    v.add_argument("--dim-max", type=int, default=8,
+                   help="largest dimension a property draws, in [3, 8] (default 8)")
     v.add_argument("--corrupt", action="store_true",
                    help="negative control: inject one sign error")
     v.add_argument("--json", action="store_true")

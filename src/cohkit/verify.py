@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import channels, coherence, dilation, instruments, linalg, states
+from .errors import BadParameterError
 
 EXACT = 0.0
 
@@ -39,12 +40,11 @@ class PropertyResult:
 
 
 def _count(cfg: VerifyConfig, default: int) -> int:
-    return default if cfg.trials is None else max(1, int(cfg.trials))
+    return default if cfg.trials is None else int(cfg.trials)
 
 
-def _dim(cfg: VerifyConfig, t: int, lo: int = 2, hi: int | None = None) -> int:
-    top = min(cfg.dim_max, 8 if hi is None else hi)
-    top = max(top, lo)
+def _dim(cfg: VerifyConfig, t: int, lo: int = 2, hi: int = 8) -> int:
+    top = min(cfg.dim_max, hi)
     return lo + t % (top - lo + 1)
 
 
@@ -920,6 +920,12 @@ REGISTRY = (
 
 def run_all(cfg: VerifyConfig) -> list[PropertyResult]:
     """Run every registered property; results come back sorted by name."""
+    # properties draw d from [lo, min(dim_max, hi)] with lo <= 3 and hi <= 8,
+    # so a dim_max outside [3, 8] could only be clamped
+    if not 3 <= cfg.dim_max <= 8:
+        raise BadParameterError(f"dim_max must lie in [3, 8], got {cfg.dim_max}")
+    if cfg.trials is not None and cfg.trials < 1:
+        raise BadParameterError(f"trials must be at least 1, got {cfg.trials}")
     root = np.random.SeedSequence(cfg.seed)
     children = root.spawn(len(REGISTRY))
     results = [check(child, cfg) for check, child in zip(REGISTRY, children)]

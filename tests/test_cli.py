@@ -200,3 +200,13 @@ def test_verify_json_report():
     assert doc["passed"] is True
     passed = {p["name"] for p in doc["properties"] if p["passed"] is True}
     assert len(passed) == len(doc["properties"]) == 36
+
+
+def test_verify_rejects_flags_it_cannot_honour():
+    for flags in (["--dim-max", "9"], ["--dim-max", "2"], ["--trials", "0"], ["--trials", "-1"]):
+        code, text, err = run_cli("verify", "--seed", "0", *flags)
+        assert code == 3, flags
+        assert text == "" and "validation error" in err
+    for bound in ("3", "8"):
+        code, _, _ = run_cli("verify", "--seed", "0", "--trials", "1", "--dim-max", bound)
+        assert code == 0
