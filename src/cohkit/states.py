@@ -330,12 +330,12 @@ def random_observable(dim: int, profile, seed=0) -> Observable:
         raise BadProfileError(f"profile {profile} does not sum to dim={dim}")
     rng = as_generator(seed)
     u = random_unitary(dim, rng)
-    # distinct eigenvalues with a comfortable minimum gap, deterministic per seed
+    # gaps of 0.5 plus Dirichlet shares of the spare room, so every gap
+    # exceeds 0.5 by construction; the values span [0, max(10, n)]
     n = len(profile)
-    while True:
-        vals = np.sort(rng.uniform(0.0, 10.0, size=n))[::-1]
-        if n == 1 or np.min(-np.diff(vals)) > 0.5:
-            break
+    spare = max(10.0, n) - 0.5 * (n - 1)
+    shares = rng.dirichlet(np.ones(n + 1))[:n]
+    vals = (0.5 * np.arange(n) + spare * np.cumsum(shares))[::-1]
     projectors, start = [], 0
     for p in profile:
         cols = u[:, start:start + p]

@@ -2,6 +2,8 @@ import contextlib
 import io
 import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 
@@ -210,3 +212,18 @@ def test_verify_rejects_flags_it_cannot_honour():
     for bound in ("3", "8"):
         code, _, _ = run_cli("verify", "--seed", "0", "--trials", "1", "--dim-max", bound)
         assert code == 0
+
+
+def test_gen_observable_terminates_at_d64(tmp_path):
+    # eigenvalues drawn on [0, 10] until every gap exceeded 0.5 never
+    # returned from 21 outcomes on; the subprocess bounds the wait
+    out = tmp_path / "obs.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "cohkit.cli", "gen", "observable", "--dim", "64",
+         "--seed", "0", "--out", str(out)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    vals = states.random_observable(64, (1,) * 64, seed=0).eigenvalues
+    assert np.array_equal(serialize.load(out, expect="observable").eigenvalues, vals)
+    assert np.all(-np.diff(vals) > 0.5)
