@@ -8,6 +8,7 @@ timing or machine state; two runs with the same seed emit identical bytes.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +47,47 @@ def _count(cfg: VerifyConfig, default: int) -> int:
 def _dim(cfg: VerifyConfig, t: int, lo: int = 2, hi: int = 8) -> int:
     top = min(cfg.dim_max, hi)
     return lo + t % (top - lo + 1)
+
+
+def _worst(*values: float, start: float = -np.inf) -> float:
+    """The largest of ``start`` and ``values``; ties keep the earlier one."""
+    worst = start
+    for v in values:
+        worst = max(worst, v)
+    return worst
+
+
+# seed children are spawned in this order, which is definition order below;
+# the report is sorted by name
+REGISTRY: list = []
+
+
+def _register(check):
+    REGISTRY.append(check)
+    return check
+
+
+def _property(tol: float, trials: int, start: float = 0.0):
+    """Register ``_check_<name>(rng, cfg, t) -> float`` as the property <name>.
+
+    The check runs ``trials`` trials (or ``cfg.trials``) on one generator
+    seeded from its child seed and passes when the largest trial value,
+    starting from ``start``, is at most ``tol``.
+    """
+
+    def declare(trial):
+        name = trial.__name__.removeprefix("_check_")
+
+        @functools.wraps(trial)
+        def check(seed, cfg: VerifyConfig) -> PropertyResult:
+            rng = np.random.default_rng(seed)
+            values = (trial(rng, cfg, t) for t in range(_count(cfg, trials)))
+            worst = _worst(*values, start=start)
+            return PropertyResult(name, worst <= tol, worst, tol)
+
+        return _register(check)
+
+    return declare
 
 
 def _random_hermitian(rng, d: int) -> np.ndarray:
@@ -98,223 +140,178 @@ def _weak_majorization_defect(x, y) -> float:
     return float(np.max(np.cumsum(ys) - np.cumsum(xs)))
 
 
-def _check_eig_reconstruction(seed, cfg) -> PropertyResult:
-    rng = np.random.default_rng(seed)
-    tol, worst = 1e-10, 0.0
-    for t in range(_count(cfg, 20)):
-        d = 2 + t % 15  # up to dim 16
-        h = _random_hermitian(rng, d)
-        spec = linalg.hermitian_eig(h)
-        rec = (spec.eigenvectors * spec.eigenvalues) @ spec.eigenvectors.conj().T
-        worst = max(worst, float(np.max(np.abs(rec - h))))
-    return PropertyResult("eig_reconstruction", worst <= tol, worst, tol)
+@_property(tol=1e-10, trials=20)
+def _check_eig_reconstruction(rng, cfg, t):
+    d = 2 + t % 15  # up to dim 16
+    h = _random_hermitian(rng, d)
+    spec = linalg.hermitian_eig(h)
+    rec = (spec.eigenvectors * spec.eigenvalues) @ spec.eigenvectors.conj().T
+    return float(np.max(np.abs(rec - h)))
 
 
-def _check_schur_product_psd(seed, cfg) -> PropertyResult:
-    rng = np.random.default_rng(seed)
-    tol, worst = 1e-10, 0.0
-    for t in range(_count(cfg, 20)):
-        d = _dim(cfg, t)
-        prod = linalg.schur_product(_random_psd(rng, d), _random_psd(rng, d))
-        w = linalg.hermitian_eig(prod).eigenvalues
-        worst = max(worst, float(-w.min()))
-    return PropertyResult("schur_product_psd", worst <= tol, worst, tol)
+@_property(tol=1e-10, trials=20)
+def _check_schur_product_psd(rng, cfg, t):
+    d = _dim(cfg, t)
+    prod = linalg.schur_product(_random_psd(rng, d), _random_psd(rng, d))
+    w = linalg.hermitian_eig(prod).eigenvalues
+    return float(-w.min())
 
 
-def _check_relative_entropy_nonneg(seed, cfg) -> PropertyResult:
-    rng = np.random.default_rng(seed)
-    tol, worst = 1e-10, 0.0
-    for t in range(_count(cfg, 20)):
-        d = _dim(cfg, t)
-        rho = states.random_density(d, seed=rng)
-        sigma = states.random_density(d, seed=rng)
-        worst = max(worst, -linalg.relative_entropy(rho.matrix, sigma.matrix))
-    return PropertyResult("relative_entropy_nonneg", worst <= tol, worst, tol)
+@_property(tol=1e-10, trials=20)
+def _check_relative_entropy_nonneg(rng, cfg, t):
+    d = _dim(cfg, t)
+    rho = states.random_density(d, seed=rng)
+    sigma = states.random_density(d, seed=rng)
+    return -linalg.relative_entropy(rho.matrix, sigma.matrix)
 
 
-def _check_relative_entropy_faithful(seed, cfg) -> PropertyResult:
-    rng = np.random.default_rng(seed)
-    tol, worst = 1e-8, 0.0
-    for t in range(_count(cfg, 20)):
-        d = _dim(cfg, t)
-        rho = states.random_density(d, seed=rng)
-        sigma = states.random_density(d, seed=rng)
-        worst = max(worst, linalg.relative_entropy(rho.matrix, rho.matrix))
-        # distinct independent states must give a strictly positive value
-        if linalg.relative_entropy(rho.matrix, sigma.matrix) <= tol:
-            worst = float("inf")
-    return PropertyResult("relative_entropy_faithful", worst <= tol, worst, tol)
+_FAITHFUL_TOL = 1e-8
 
 
-def _check_spectral_reconstruction(seed, cfg) -> PropertyResult:
-    rng = np.random.default_rng(seed)
-    tol, worst = 1e-8, 0.0
-    for t in range(_count(cfg, 20)):
-        d = _dim(cfg, t, lo=3)
-        obs = states.random_observable(d, _degenerate_profile(rng, d), rng)
-        h = obs.matrix()
-        redone = states.spectral_decompose(h)
-        if redone.n_outcomes != obs.n_outcomes:
-            worst = float("inf")
-            continue
-        worst = max(worst, float(np.max(np.abs(redone.matrix() - h))))
-    return PropertyResult("spectral_reconstruction", worst <= tol, worst, tol)
+@_property(tol=_FAITHFUL_TOL, trials=20)
+def _check_relative_entropy_faithful(rng, cfg, t):
+    d = _dim(cfg, t)
+    rho = states.random_density(d, seed=rng)
+    sigma = states.random_density(d, seed=rng)
+    same = linalg.relative_entropy(rho.matrix, rho.matrix)
+    # distinct independent states must give a strictly positive value
+    if linalg.relative_entropy(rho.matrix, sigma.matrix) <= _FAITHFUL_TOL:
+        return float("inf")
+    return same
 
 
-def _check_fine_graining_resolution(seed, cfg) -> PropertyResult:
-    rng = np.random.default_rng(seed)
-    tol, worst = 1e-8, 0.0
-    for t in range(_count(cfg, 20)):
-        d = _dim(cfg, t, lo=3)
-        obs = states.random_observable(d, _degenerate_profile(rng, d), rng)
-        fg = _random_fg(rng, obs)
-        for b, p in zip(fg.blocks, obs.projectors):
-            worst = max(worst, float(np.max(np.abs(b @ b.conj().T - p))))
-    return PropertyResult("fine_graining_resolution", worst <= tol, worst, tol)
+@_property(tol=1e-8, trials=20)
+def _check_spectral_reconstruction(rng, cfg, t):
+    d = _dim(cfg, t, lo=3)
+    obs = states.random_observable(d, _degenerate_profile(rng, d), rng)
+    h = obs.matrix()
+    redone = states.spectral_decompose(h)
+    if redone.n_outcomes != obs.n_outcomes:
+        return float("inf")
+    return float(np.max(np.abs(redone.matrix() - h)))
 
 
-def _check_minimal_disturbance_hs(seed, cfg) -> PropertyResult:
-    rng = np.random.default_rng(seed)
-    tol, worst = 1e-12, -np.inf
-    for t in range(_count(cfg, 20)):
-        d = _dim(cfg, t)
-        obs = states.random_observable(d, _random_profile(rng, d), rng)
-        rho = states.random_density(d, seed=rng)
-        pinched = instruments.luders(rho, obs)
-        base = linalg.hs_norm(rho.matrix - pinched.matrix)
-        for _ in range(200):
-            sigma = instruments.random_block_diagonal(obs, rng)
-            worst = max(worst, base - linalg.hs_norm(rho.matrix - sigma.matrix))
-    return PropertyResult("minimal_disturbance_hs", worst <= tol, worst, tol)
+@_property(tol=1e-8, trials=20)
+def _check_fine_graining_resolution(rng, cfg, t):
+    d = _dim(cfg, t, lo=3)
+    obs = states.random_observable(d, _degenerate_profile(rng, d), rng)
+    fg = _random_fg(rng, obs)
+    return _worst(
+        *(float(np.max(np.abs(b @ b.conj().T - p))) for b, p in zip(fg.blocks, obs.projectors))
+    )
 
 
-def _check_pythagorean_identity(seed, cfg) -> PropertyResult:
-    rng = np.random.default_rng(seed)
-    tol, worst = 1e-8, 0.0
-    for t in range(_count(cfg, 20)):
-        d = _dim(cfg, t)
-        obs = states.random_observable(d, _random_profile(rng, d), rng)
-        rho = states.random_density(d, seed=rng)
-        pinched = instruments.luders(rho, obs)
-        middle = linalg.relative_entropy(rho.matrix, pinched.matrix)
-        for _ in range(10):
-            sigma = instruments.random_block_diagonal(obs, rng)
-            total = linalg.relative_entropy(rho.matrix, sigma.matrix)
-            tail = linalg.relative_entropy(pinched.matrix, sigma.matrix)
-            worst = max(worst, abs(total - middle - tail))
-    return PropertyResult("pythagorean_identity", worst <= tol, worst, tol)
+@_property(tol=1e-12, trials=20, start=-np.inf)
+def _check_minimal_disturbance_hs(rng, cfg, t):
+    d = _dim(cfg, t)
+    obs = states.random_observable(d, _random_profile(rng, d), rng)
+    rho = states.random_density(d, seed=rng)
+    pinched = instruments.luders(rho, obs)
+    base = linalg.hs_norm(rho.matrix - pinched.matrix)
+    sigmas = (instruments.random_block_diagonal(obs, rng) for _ in range(200))
+    return _worst(*(base - linalg.hs_norm(rho.matrix - sigma.matrix) for sigma in sigmas))
 
 
-def _check_pinching_entropy_increase(seed, cfg) -> PropertyResult:
-    rng = np.random.default_rng(seed)
-    tol, worst = 1e-10, -np.inf
-    for t in range(_count(cfg, 30)):
-        d = _dim(cfg, t)
-        obs = states.random_observable(d, _random_profile(rng, d), rng)
-        rho = states.random_density(d, seed=rng)
-        pinched = instruments.luders(rho, obs)
-        worst = max(
-            worst,
-            linalg.von_neumann_entropy(rho.matrix)
-            - linalg.von_neumann_entropy(pinched.matrix),
-        )
-    return PropertyResult("pinching_entropy_increase", worst <= tol, worst, tol)
+@_property(tol=1e-8, trials=20)
+def _check_pythagorean_identity(rng, cfg, t):
+    d = _dim(cfg, t)
+    obs = states.random_observable(d, _random_profile(rng, d), rng)
+    rho = states.random_density(d, seed=rng)
+    pinched = instruments.luders(rho, obs)
+    middle = linalg.relative_entropy(rho.matrix, pinched.matrix)
+    residuals = []
+    for _ in range(10):
+        sigma = instruments.random_block_diagonal(obs, rng)
+        total = linalg.relative_entropy(rho.matrix, sigma.matrix)
+        tail = linalg.relative_entropy(pinched.matrix, sigma.matrix)
+        residuals.append(abs(total - middle - tail))
+    return _worst(*residuals)
 
 
-def _check_pinching_majorization(seed, cfg) -> PropertyResult:
-    rng = np.random.default_rng(seed)
-    tol, worst = 1e-9, -np.inf
-    for t in range(_count(cfg, 30)):
-        d = _dim(cfg, t)
-        obs = states.random_observable(d, _random_profile(rng, d), rng)
-        rho = states.random_density(d, seed=rng)
-        pinched = instruments.luders(rho, obs)
-        worst = max(worst, _majorization_defect(rho.eigenvalues(), pinched.eigenvalues()))
-    return PropertyResult("pinching_majorization", worst <= tol, worst, tol)
+@_property(tol=1e-10, trials=30, start=-np.inf)
+def _check_pinching_entropy_increase(rng, cfg, t):
+    d = _dim(cfg, t)
+    obs = states.random_observable(d, _random_profile(rng, d), rng)
+    rho = states.random_density(d, seed=rng)
+    pinched = instruments.luders(rho, obs)
+    return (
+        linalg.von_neumann_entropy(rho.matrix)
+        - linalg.von_neumann_entropy(pinched.matrix)
+    )
 
 
-def _check_orthogonal_support_product(seed, cfg) -> PropertyResult:
-    rng = np.random.default_rng(seed)
-    tol, worst = 1e-10, 0.0
-    for t in range(_count(cfg, 20)):
-        d = _dim(cfg, t, lo=3)
-        u = states.random_unitary(d, rng)
-        k = int(rng.integers(1, d))
-        left, right = u[:, :k], u[:, k:]
-        a = left @ _random_psd(rng, k) @ left.conj().T
-        b = right @ _random_psd(rng, d - k) @ right.conj().T
-        worst = max(worst, linalg.hs_norm(a @ b))
-    return PropertyResult("orthogonal_support_product", worst <= tol, worst, tol)
+@_property(tol=1e-9, trials=30, start=-np.inf)
+def _check_pinching_majorization(rng, cfg, t):
+    d = _dim(cfg, t)
+    obs = states.random_observable(d, _random_profile(rng, d), rng)
+    rho = states.random_density(d, seed=rng)
+    pinched = instruments.luders(rho, obs)
+    return _majorization_defect(rho.eigenvalues(), pinched.eigenvalues())
 
 
-def _check_unitary_mixing_average(seed, cfg) -> PropertyResult:
-    rng = np.random.default_rng(seed)
-    tol, worst = 1e-10, 0.0
-    for t in range(_count(cfg, 20)):
-        d = _dim(cfg, t)
-        obs = states.random_observable(d, _random_profile(rng, d), rng)
-        rho = states.random_density(d, seed=rng)
-        mix = instruments.unitary_mixing(obs)
-        avg = sum(u @ rho.matrix @ u.conj().T for u in mix) / len(mix)
-        worst = max(
-            worst, float(np.max(np.abs(avg - instruments.luders(rho, obs).matrix)))
-        )
-    return PropertyResult("unitary_mixing_average", worst <= tol, worst, tol)
+@_property(tol=1e-10, trials=20)
+def _check_orthogonal_support_product(rng, cfg, t):
+    d = _dim(cfg, t, lo=3)
+    u = states.random_unitary(d, rng)
+    k = int(rng.integers(1, d))
+    left, right = u[:, :k], u[:, k:]
+    a = left @ _random_psd(rng, k) @ left.conj().T
+    b = right @ _random_psd(rng, d - k) @ right.conj().T
+    return linalg.hs_norm(a @ b)
 
 
-def _check_hierarchy_monotonicity(seed, cfg) -> PropertyResult:
-    rng = np.random.default_rng(seed)
-    tol, worst = 1e-10, -np.inf
-    for t in range(_count(cfg, 50)):
-        d = _dim(cfg, t, lo=3)
-        obs = states.random_observable(d, _degenerate_profile(rng, d), rng)
-        rho = states.random_density(d, seed=rng)
-        fg = _random_fg(rng, obs)
-        worst = max(
-            worst,
-            coherence.c_l1_coarse(rho, obs, fg) - coherence.c_l1(rho, fg.basis),
-            coherence.c_re_coarse(rho, obs) - coherence.c_re(rho, fg.basis),
-        )
-    return PropertyResult("hierarchy_monotonicity", worst <= tol, worst, tol)
+@_property(tol=1e-10, trials=20)
+def _check_unitary_mixing_average(rng, cfg, t):
+    d = _dim(cfg, t)
+    obs = states.random_observable(d, _random_profile(rng, d), rng)
+    rho = states.random_density(d, seed=rng)
+    mix = instruments.unitary_mixing(obs)
+    avg = sum(u @ rho.matrix @ u.conj().T for u in mix) / len(mix)
+    return float(np.max(np.abs(avg - instruments.luders(rho, obs).matrix)))
 
 
-def _check_hierarchy_gap_identity(seed, cfg) -> PropertyResult:
-    rng = np.random.default_rng(seed)
-    tol, worst = 1e-8, 0.0
-    for t in range(_count(cfg, 50)):
-        d = _dim(cfg, t, lo=3)
-        obs = states.random_observable(d, _degenerate_profile(rng, d), rng)
-        rho = states.random_density(d, seed=rng)
-        fg = _random_fg(rng, obs)
-        gap = coherence.hierarchy_gap(rho, obs, fg)
-        diff = coherence.c_re(rho, fg.basis) - coherence.c_re_coarse(rho, obs)
-        worst = max(worst, abs(gap - diff))
-    return PropertyResult("hierarchy_gap_identity", worst <= tol, worst, tol)
+@_property(tol=1e-10, trials=50, start=-np.inf)
+def _check_hierarchy_monotonicity(rng, cfg, t):
+    d = _dim(cfg, t, lo=3)
+    obs = states.random_observable(d, _degenerate_profile(rng, d), rng)
+    rho = states.random_density(d, seed=rng)
+    fg = _random_fg(rng, obs)
+    return _worst(
+        coherence.c_l1_coarse(rho, obs, fg) - coherence.c_l1(rho, fg.basis),
+        coherence.c_re_coarse(rho, obs) - coherence.c_re(rho, fg.basis),
+    )
 
 
-def _check_optimal_fine_graining_collapse(seed, cfg) -> PropertyResult:
-    rng = np.random.default_rng(seed)
-    tol, worst = 1e-8, 0.0
-    for t in range(_count(cfg, 30)):
-        d = _dim(cfg, t, lo=3)
-        obs = states.random_observable(d, _degenerate_profile(rng, d), rng)
-        rho = states.random_density(d, seed=rng)
-        best = instruments.optimal_fine_grain(obs, rho)
-        worst = max(
-            worst,
-            abs(coherence.c_l1(rho, best.basis) - coherence.c_l1_coarse(rho, obs, best)),
-            abs(coherence.c_re(rho, best.basis) - coherence.c_re_coarse(rho, obs)),
-            coherence.hierarchy_gap(rho, obs, best),
-            float(
-                np.max(
-                    np.abs(
-                        instruments.dephase(rho, best.basis).matrix
-                        - instruments.luders(rho, obs).matrix
-                    )
+@_property(tol=1e-8, trials=50)
+def _check_hierarchy_gap_identity(rng, cfg, t):
+    d = _dim(cfg, t, lo=3)
+    obs = states.random_observable(d, _degenerate_profile(rng, d), rng)
+    rho = states.random_density(d, seed=rng)
+    fg = _random_fg(rng, obs)
+    gap = coherence.hierarchy_gap(rho, obs, fg)
+    diff = coherence.c_re(rho, fg.basis) - coherence.c_re_coarse(rho, obs)
+    return abs(gap - diff)
+
+
+@_property(tol=1e-8, trials=30)
+def _check_optimal_fine_graining_collapse(rng, cfg, t):
+    d = _dim(cfg, t, lo=3)
+    obs = states.random_observable(d, _degenerate_profile(rng, d), rng)
+    rho = states.random_density(d, seed=rng)
+    best = instruments.optimal_fine_grain(obs, rho)
+    return _worst(
+        abs(coherence.c_l1(rho, best.basis) - coherence.c_l1_coarse(rho, obs, best)),
+        abs(coherence.c_re(rho, best.basis) - coherence.c_re_coarse(rho, obs)),
+        coherence.hierarchy_gap(rho, obs, best),
+        float(
+            np.max(
+                np.abs(
+                    instruments.dephase(rho, best.basis).matrix
+                    - instruments.luders(rho, obs).matrix
                 )
-            ),
-        )
-    return PropertyResult("optimal_fine_graining_collapse", worst <= tol, worst, tol)
+            )
+        ),
+    )
 
 
 def _witness_state() -> tuple[states.BipartiteState, states.Observable]:
@@ -347,6 +344,7 @@ def _conditional_mutual_information_sum(
     return total
 
 
+@_register
 def _check_discord_decomposition(seed, cfg) -> PropertyResult:
     rng = np.random.default_rng(seed)
     tol, worst = 1e-8, 0.0
@@ -385,163 +383,138 @@ def _check_discord_decomposition(seed, cfg) -> PropertyResult:
     )
 
 
-def _check_repeatable_residual_coherence(seed, cfg) -> PropertyResult:
-    rng = np.random.default_rng(seed)
-    tol, worst = 1e-10, 0.0
-    for t in range(_count(cfg, 30)):
-        d = _dim(cfg, t, lo=3)
-        obs = states.random_observable(d, _degenerate_profile(rng, d), rng)
-        psi = states.random_pure(d, rng)
-        rho = states.DensityMatrix(np.outer(psi, psi.conj()))
-        theta = tuple(
-            obs.block_basis(n) @ states.random_unitary(obs.degeneracies[n], rng)
-            for n in range(obs.n_outcomes)
-        )
-        ch = instruments.repeatable_instrument(obs, theta)
-        out = channels.apply_channel(ch, rho)
-        fg = states.fine_graining(obs)
-        theta_basis = np.hstack(theta)
-        lud = instruments.luders(rho, obs)
-        worst = max(
-            worst,
-            abs(coherence.c_l1(out, theta_basis) - coherence.c_l1(lud, fg.basis)),
-            abs(coherence.c_re(out, theta_basis) - coherence.c_re(lud, fg.basis)),
-            abs(
-                linalg.von_neumann_entropy(out.matrix)
-                - linalg.von_neumann_entropy(lud.matrix)
-            ),
-            float(
-                np.max(
-                    np.abs(
-                        instruments.born_probabilities(out, obs)
-                        - instruments.born_probabilities(rho, obs)
+@_property(tol=1e-10, trials=30)
+def _check_repeatable_residual_coherence(rng, cfg, t):
+    d = _dim(cfg, t, lo=3)
+    obs = states.random_observable(d, _degenerate_profile(rng, d), rng)
+    psi = states.random_pure(d, rng)
+    rho = states.DensityMatrix(np.outer(psi, psi.conj()))
+    theta = tuple(
+        obs.block_basis(n) @ states.random_unitary(obs.degeneracies[n], rng)
+        for n in range(obs.n_outcomes)
+    )
+    ch = instruments.repeatable_instrument(obs, theta)
+    out = channels.apply_channel(ch, rho)
+    fg = states.fine_graining(obs)
+    theta_basis = np.hstack(theta)
+    lud = instruments.luders(rho, obs)
+    return _worst(
+        abs(coherence.c_l1(out, theta_basis) - coherence.c_l1(lud, fg.basis)),
+        abs(coherence.c_re(out, theta_basis) - coherence.c_re(lud, fg.basis)),
+        abs(
+            linalg.von_neumann_entropy(out.matrix)
+            - linalg.von_neumann_entropy(lud.matrix)
+        ),
+        float(
+            np.max(
+                np.abs(
+                    instruments.born_probabilities(out, obs)
+                    - instruments.born_probabilities(rho, obs)
+                )
+            )
+        ),
+    )
+
+
+@_property(tol=1e-12, trials=20)
+def _check_label_permutation_covariance(rng, cfg, t):
+    d = _dim(cfg, t)
+    rho = states.random_density(d, seed=rng)
+    basis = states.random_unitary(d, rng)
+    shuffled = basis[:, rng.permutation(d)]
+    return _worst(
+        abs(coherence.c_l1(rho, shuffled) - coherence.c_l1(rho, basis)),
+        abs(coherence.c_re(rho, shuffled) - coherence.c_re(rho, basis)),
+    )
+
+
+@_property(tol=1e-10, trials=100)
+def _check_gio_schur_equivalence(rng, cfg, t):
+    d = _dim(cfg, t)
+    ch = channels.random_gio(d, 1 + t % d, rng)
+    corr = channels.correlation_matrix_of(ch)
+    if cfg.corrupt and t == 0:
+        ops = [k.copy() for k in ch.kraus]
+        ops[0][0, 0] = -ops[0][0, 0]  # break the Kraus/Schur agreement
+        ch = channels.kraus_channel(ops)
+    schur = corr.matrix.T
+    rhos = (states.random_density(d, seed=rng).matrix for _ in range(5))
+    return _worst(
+        *(linalg.hs_norm(channels.apply_to_operator(ch, rho) - schur * rho) for rho in rhos)
+    )
+
+
+@_property(tol=1e-9, trials=100, start=-np.inf)
+def _check_unital_majorization(rng, cfg, t):
+    d = _dim(cfg, t)
+    if t % 2 == 0:
+        ch = channels.random_gio(d, 1 + t % d, rng)
+    else:
+        ch = channels.random_mixed_unitary(d, 2 + t % 3, rng)
+    rho = states.random_density(d, seed=rng)
+    out = channels.apply_channel(ch, rho)
+    return _worst(
+        _majorization_defect(rho.eigenvalues(), out.eigenvalues()),
+        linalg.von_neumann_entropy(rho.matrix)
+        - linalg.von_neumann_entropy(out.matrix),
+    )
+
+
+@_property(tol=1e-9, trials=30, start=-np.inf)
+def _check_schur_eigenvalue_majorization(rng, cfg, t):
+    d = _dim(cfg, t)
+    a, b = _random_psd(rng, d), _random_psd(rng, d)
+    lam_prod = linalg.hermitian_eig(linalg.schur_product(a, b)).eigenvalues
+    lam_a = linalg.hermitian_eig(a).eigenvalues
+    lam_b = linalg.hermitian_eig(b).eigenvalues
+    diag_b = np.sort(np.real(np.diag(b)))[::-1]
+    return _worst(
+        _weak_majorization_defect(lam_a * diag_b, lam_prod),
+        _weak_majorization_defect(lam_a * lam_b, lam_a * diag_b),
+    )
+
+
+@_property(tol=1e-12, trials=20)
+def _check_permutation_coherence_preservation(rng, cfg, t):
+    d = _dim(cfg, t)
+    rho = states.random_density(d, seed=rng)
+    perm = np.eye(d, dtype=complex)[:, rng.permutation(d)]
+    moved = states.DensityMatrix(perm @ rho.matrix @ perm.conj().T)
+    eye = np.eye(d, dtype=complex)
+    return _worst(
+        abs(coherence.c_l1(moved, eye) - coherence.c_l1(rho, eye)),
+        abs(coherence.c_re(moved, eye) - coherence.c_re(rho, eye)),
+    )
+
+
+# algebraically exact identities; the tolerance only absorbs the rounding
+# of the BLAS matrix products that evaluate the left sides
+@_property(tol=1e-14, trials=20)
+def _check_sieve_action(rng, cfg, t):
+    d = _dim(cfg, t)
+    mapping = tuple(int(i) for i in rng.integers(0, d, size=d))
+    relabel = channels.IndexMap(mapping=mapping).matrix()
+    coeffs = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    sieve = np.diag(coeffs)
+    residuals = []
+    for i in range(d):
+        for j in range(d):
+            unit = np.zeros((d, d), dtype=complex)
+            unit[i, j] = 1.0
+            target = np.zeros((d, d), dtype=complex)
+            target[mapping[i], mapping[j]] = 1.0
+            residuals.append(float(np.max(np.abs(relabel @ unit @ relabel.conj().T - target))))
+            residuals.append(
+                float(
+                    np.max(
+                        np.abs(
+                            sieve @ unit @ sieve.conj().T
+                            - coeffs[i] * np.conj(coeffs[j]) * unit
+                        )
                     )
                 )
-            ),
-        )
-    return PropertyResult("repeatable_residual_coherence", worst <= tol, worst, tol)
-
-
-def _check_label_permutation_covariance(seed, cfg) -> PropertyResult:
-    rng = np.random.default_rng(seed)
-    tol, worst = 1e-12, 0.0
-    for t in range(_count(cfg, 20)):
-        d = _dim(cfg, t)
-        rho = states.random_density(d, seed=rng)
-        basis = states.random_unitary(d, rng)
-        shuffled = basis[:, rng.permutation(d)]
-        worst = max(
-            worst,
-            abs(coherence.c_l1(rho, shuffled) - coherence.c_l1(rho, basis)),
-            abs(coherence.c_re(rho, shuffled) - coherence.c_re(rho, basis)),
-        )
-    return PropertyResult("label_permutation_covariance", worst <= tol, worst, tol)
-
-
-def _check_gio_schur_equivalence(seed, cfg) -> PropertyResult:
-    rng = np.random.default_rng(seed)
-    tol, worst = 1e-10, 0.0
-    for t in range(_count(cfg, 100)):
-        d = _dim(cfg, t)
-        ch = channels.random_gio(d, 1 + t % d, rng)
-        corr = channels.correlation_matrix_of(ch)
-        if cfg.corrupt and t == 0:
-            ops = [k.copy() for k in ch.kraus]
-            ops[0][0, 0] = -ops[0][0, 0]  # break the Kraus/Schur agreement
-            ch = channels.kraus_channel(ops)
-        schur = corr.matrix.T
-        for _ in range(5):
-            rho = states.random_density(d, seed=rng)
-            lhs = channels.apply_to_operator(ch, rho.matrix)
-            worst = max(worst, linalg.hs_norm(lhs - schur * rho.matrix))
-    return PropertyResult("gio_schur_equivalence", worst <= tol, worst, tol)
-
-
-def _check_unital_majorization(seed, cfg) -> PropertyResult:
-    rng = np.random.default_rng(seed)
-    tol, worst = 1e-9, -np.inf
-    for t in range(_count(cfg, 100)):
-        d = _dim(cfg, t)
-        if t % 2 == 0:
-            ch = channels.random_gio(d, 1 + t % d, rng)
-        else:
-            ch = channels.random_mixed_unitary(d, 2 + t % 3, rng)
-        rho = states.random_density(d, seed=rng)
-        out = channels.apply_channel(ch, rho)
-        worst = max(
-            worst,
-            _majorization_defect(rho.eigenvalues(), out.eigenvalues()),
-            linalg.von_neumann_entropy(rho.matrix)
-            - linalg.von_neumann_entropy(out.matrix),
-        )
-    return PropertyResult("unital_majorization", worst <= tol, worst, tol)
-
-
-def _check_schur_eigenvalue_majorization(seed, cfg) -> PropertyResult:
-    rng = np.random.default_rng(seed)
-    tol, worst = 1e-9, -np.inf
-    for t in range(_count(cfg, 30)):
-        d = _dim(cfg, t)
-        a, b = _random_psd(rng, d), _random_psd(rng, d)
-        lam_prod = linalg.hermitian_eig(linalg.schur_product(a, b)).eigenvalues
-        lam_a = linalg.hermitian_eig(a).eigenvalues
-        lam_b = linalg.hermitian_eig(b).eigenvalues
-        diag_b = np.sort(np.real(np.diag(b)))[::-1]
-        worst = max(
-            worst,
-            _weak_majorization_defect(lam_a * diag_b, lam_prod),
-            _weak_majorization_defect(lam_a * lam_b, lam_a * diag_b),
-        )
-    return PropertyResult("schur_eigenvalue_majorization", worst <= tol, worst, tol)
-
-
-def _check_permutation_coherence_preservation(seed, cfg) -> PropertyResult:
-    rng = np.random.default_rng(seed)
-    tol, worst = 1e-12, 0.0
-    for t in range(_count(cfg, 20)):
-        d = _dim(cfg, t)
-        rho = states.random_density(d, seed=rng)
-        perm = np.eye(d, dtype=complex)[:, rng.permutation(d)]
-        moved = states.DensityMatrix(perm @ rho.matrix @ perm.conj().T)
-        eye = np.eye(d, dtype=complex)
-        worst = max(
-            worst,
-            abs(coherence.c_l1(moved, eye) - coherence.c_l1(rho, eye)),
-            abs(coherence.c_re(moved, eye) - coherence.c_re(rho, eye)),
-        )
-    return PropertyResult("permutation_coherence_preservation", worst <= tol, worst, tol)
-
-
-def _check_sieve_action(seed, cfg) -> PropertyResult:
-    # algebraically exact identities; the tolerance only absorbs the rounding
-    # of the BLAS matrix products that evaluate the left sides
-    rng = np.random.default_rng(seed)
-    tol, worst = 1e-14, 0.0
-    for t in range(_count(cfg, 20)):
-        d = _dim(cfg, t)
-        mapping = tuple(int(i) for i in rng.integers(0, d, size=d))
-        relabel = channels.IndexMap(mapping=mapping).matrix()
-        coeffs = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        sieve = np.diag(coeffs)
-        for i in range(d):
-            for j in range(d):
-                unit = np.zeros((d, d), dtype=complex)
-                unit[i, j] = 1.0
-                target = np.zeros((d, d), dtype=complex)
-                target[mapping[i], mapping[j]] = 1.0
-                worst = max(
-                    worst,
-                    float(np.max(np.abs(relabel @ unit @ relabel.conj().T - target))),
-                    float(
-                        np.max(
-                            np.abs(
-                                sieve @ unit @ sieve.conj().T
-                                - coeffs[i] * np.conj(coeffs[j]) * unit
-                            )
-                        )
-                    ),
-                )
-    return PropertyResult("sieve_action", worst <= tol, worst, tol)
+            )
+    return _worst(*residuals)
 
 
 def _is_io_form(ch: channels.KrausChannel) -> bool:
@@ -561,87 +534,72 @@ def _is_sio_form(ch: channels.KrausChannel) -> bool:
     return all(m.kind == "permutation" for m in maps)
 
 
-def _check_classify_monotonicity(seed, cfg) -> PropertyResult:
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for t in range(_count(cfg, 15)):
-        d = _dim(cfg, t)
-        gio = channels.random_gio(d, 1 + t % d, rng)
-        sio = channels.random_sio(d, 2 + t % 2, rng)
-        io = channels.random_io(d, rng)
-        ok = (
-            channels.classify(gio) == channels.GIO
-            and _is_sio_form(gio)
-            and _is_io_form(gio)
-            and channels.classify(sio) in (channels.GIO, channels.SIO_NOT_GIO)
-            and _is_io_form(sio)
-            and channels.classify(io)
-            in (channels.GIO, channels.SIO_NOT_GIO, channels.IO_NOT_SIO)
-            and channels.io_completeness_check(gio)
-            and channels.io_completeness_check(sio)
-            and channels.io_completeness_check(io)
-        )
-        if not ok:
-            worst = float("inf")
-    return PropertyResult("classify_monotonicity", worst <= EXACT, worst, EXACT)
-
-
-def _check_commutant_dimension_oracle(seed, cfg) -> PropertyResult:
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for t in range(_count(cfg, 30)):
-        d = _dim(cfg, t, hi=6)
-        ch = channels.random_gio(d, 1 + t % d, rng)
-        algebra = channels.commutant(ch)
-        s = channels.channel_superoperator(ch) - np.eye(d * d)
-        sing = np.linalg.svd(s, compute_uv=False)
-        fixed_dim = int(np.sum(sing <= 1e-9))
-        worst = max(worst, float(abs(len(algebra) - fixed_dim)))
-    return PropertyResult("commutant_dimension_oracle", worst <= EXACT, worst, EXACT)
-
-
-def _check_fixed_point_identity_collapsed(seed, cfg) -> PropertyResult:
-    rng = np.random.default_rng(seed)
-    tol, worst = 1e-10, 0.0
-    for t in range(_count(cfg, 30)):
-        d = _dim(cfg, t, hi=6)
-        ch = channels.random_gio(d, 1 + t % d, rng)
-        algebra = channels.commutant(ch)
-        for _ in range(4):
-            z = rng.standard_normal(len(algebra)) + 1j * rng.standard_normal(len(algebra))
-            z = z / np.linalg.norm(z)
-            x = sum(c * b for c, b in zip(z, algebra))
-            result = channels.fixed_point_check(ch, x)
-            lhs = np.zeros((d, d), dtype=complex)
-            for k in ch.kraus:
-                comm = x @ k - k @ x
-                lhs += comm @ comm.conj().T
-            xx = x @ x.conj().T
-            collapsed = channels.apply_to_operator(ch, xx) - xx
-            worst = max(
-                worst,
-                result.fixedness_residual,
-                linalg.hs_norm(lhs - collapsed),
-            )
-    return PropertyResult("fixed_point_identity_collapsed", worst <= tol, worst, tol)
-
-
-def _check_commutator_expansion_identity(seed, cfg) -> PropertyResult:
-    rng = np.random.default_rng(seed)
-    tol, worst = 1e-10, 0.0
-    makers = (
-        lambda d: channels.random_gio(d, 2, rng),
-        lambda d: channels.random_mixed_unitary(d, 2, rng),
-        lambda d: channels.random_sio(d, 2, rng),
-        lambda d: channels.random_io(d, rng),
+@_property(tol=EXACT, trials=15)
+def _check_classify_monotonicity(rng, cfg, t):
+    d = _dim(cfg, t)
+    gio = channels.random_gio(d, 1 + t % d, rng)
+    sio = channels.random_sio(d, 2 + t % 2, rng)
+    io = channels.random_io(d, rng)
+    ok = (
+        channels.classify(gio) == channels.GIO
+        and _is_sio_form(gio)
+        and _is_io_form(gio)
+        and channels.classify(sio) in (channels.GIO, channels.SIO_NOT_GIO)
+        and _is_io_form(sio)
+        and channels.classify(io)
+        in (channels.GIO, channels.SIO_NOT_GIO, channels.IO_NOT_SIO)
+        and channels.io_completeness_check(gio)
+        and channels.io_completeness_check(sio)
+        and channels.io_completeness_check(io)
     )
-    for t in range(_count(cfg, 100)):
-        d = _dim(cfg, t)
-        ch = makers[t % len(makers)](d)
-        x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        x = x / np.linalg.norm(x)
-        worst = max(worst, channels.fixed_point_check(ch, x).identity_residual)
-    return PropertyResult("commutator_expansion_identity", worst <= tol, worst, tol)
+    return 0.0 if ok else float("inf")
+
+
+@_property(tol=EXACT, trials=30)
+def _check_commutant_dimension_oracle(rng, cfg, t):
+    d = _dim(cfg, t, hi=6)
+    ch = channels.random_gio(d, 1 + t % d, rng)
+    algebra = channels.commutant(ch)
+    s = channels.channel_superoperator(ch) - np.eye(d * d)
+    sing = np.linalg.svd(s, compute_uv=False)
+    fixed_dim = int(np.sum(sing <= 1e-9))
+    return float(abs(len(algebra) - fixed_dim))
+
+
+@_property(tol=1e-10, trials=30)
+def _check_fixed_point_identity_collapsed(rng, cfg, t):
+    d = _dim(cfg, t, hi=6)
+    ch = channels.random_gio(d, 1 + t % d, rng)
+    algebra = channels.commutant(ch)
+    residuals = []
+    for _ in range(4):
+        z = rng.standard_normal(len(algebra)) + 1j * rng.standard_normal(len(algebra))
+        z = z / np.linalg.norm(z)
+        x = sum(c * b for c, b in zip(z, algebra))
+        result = channels.fixed_point_check(ch, x)
+        lhs = np.zeros((d, d), dtype=complex)
+        for k in ch.kraus:
+            comm = x @ k - k @ x
+            lhs += comm @ comm.conj().T
+        xx = x @ x.conj().T
+        collapsed = channels.apply_to_operator(ch, xx) - xx
+        residuals += [result.fixedness_residual, linalg.hs_norm(lhs - collapsed)]
+    return _worst(*residuals)
+
+
+@_property(tol=1e-10, trials=100)
+def _check_commutator_expansion_identity(rng, cfg, t):
+    d = _dim(cfg, t)
+    makers = (
+        lambda: channels.random_gio(d, 2, rng),
+        lambda: channels.random_mixed_unitary(d, 2, rng),
+        lambda: channels.random_sio(d, 2, rng),
+        lambda: channels.random_io(d, rng),
+    )
+    ch = makers[t % len(makers)]()
+    x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    x = x / np.linalg.norm(x)
+    return channels.fixed_point_check(ch, x).identity_residual
 
 
 def _shrunk_gio(rng, d: int, n_kraus: int, ceiling: float = 0.9) -> channels.KrausChannel:
@@ -656,35 +614,33 @@ def _shrunk_gio(rng, d: int, n_kraus: int, ceiling: float = 0.9) -> channels.Kra
     return channels.gio_from_correlation(c)
 
 
-def _check_dephasing_limit_offdiagonal(seed, cfg) -> PropertyResult:
-    rng = np.random.default_rng(seed)
-    steps = 200
-    tol, worst = 0.9**steps + 1e-12, 0.0
-    for t in range(_count(cfg, 10)):
-        d = _dim(cfg, t)
-        ch = _shrunk_gio(rng, d, 1 + t % d)
-        x = states.random_density(d, seed=rng).matrix
-        for _ in range(steps):
-            x = channels.apply_to_operator(ch, x)
-        worst = max(worst, float(np.max(np.abs(x - np.diag(np.diag(x))))))
-    return PropertyResult("dephasing_limit_offdiagonal", worst <= tol, worst, tol)
+_DEPHASING_STEPS = 200
 
 
-def _check_schur_power_law(seed, cfg) -> PropertyResult:
-    rng = np.random.default_rng(seed)
-    tol, worst = 1e-9, 0.0
-    for t in range(_count(cfg, 5)):
-        d = _dim(cfg, t)
-        ch = channels.random_gio(d, 1 + t % d, rng)
-        schur = channels.correlation_matrix_of(ch).matrix.T
-        rho = states.random_density(d, seed=rng).matrix
-        x = rho.copy()
-        power = np.ones_like(schur)
-        for _ in range(200):
-            x = channels.apply_to_operator(ch, x)
-            power = power * schur
-            worst = max(worst, float(np.max(np.abs(x - power * rho))))
-    return PropertyResult("schur_power_law", worst <= tol, worst, tol)
+@_property(tol=0.9**_DEPHASING_STEPS + 1e-12, trials=10)
+def _check_dephasing_limit_offdiagonal(rng, cfg, t):
+    d = _dim(cfg, t)
+    ch = _shrunk_gio(rng, d, 1 + t % d)
+    x = states.random_density(d, seed=rng).matrix
+    for _ in range(_DEPHASING_STEPS):
+        x = channels.apply_to_operator(ch, x)
+    return float(np.max(np.abs(x - np.diag(np.diag(x)))))
+
+
+@_property(tol=1e-9, trials=5)
+def _check_schur_power_law(rng, cfg, t):
+    d = _dim(cfg, t)
+    ch = channels.random_gio(d, 1 + t % d, rng)
+    schur = channels.correlation_matrix_of(ch).matrix.T
+    rho = states.random_density(d, seed=rng).matrix
+    x = rho.copy()
+    power = np.ones_like(schur)
+    residuals = []
+    for _ in range(200):
+        x = channels.apply_to_operator(ch, x)
+        power = power * schur
+        residuals.append(float(np.max(np.abs(x - power * rho))))
+    return _worst(*residuals)
 
 
 def _unit_action_residual(ch: channels.KrausChannel, reference) -> float:
@@ -751,6 +707,7 @@ def _dilation_cases(rng, cfg):
     return cases
 
 
+@_register
 def _check_dilation_round_trips(seed, cfg) -> PropertyResult:
     rng = np.random.default_rng(seed)
     tol, worst = 1e-10, 0.0
@@ -760,6 +717,7 @@ def _check_dilation_round_trips(seed, cfg) -> PropertyResult:
     return PropertyResult("dilation_round_trips", worst <= tol, worst, tol)
 
 
+@_register
 def _check_dilation_unitarity(seed, cfg) -> PropertyResult:
     rng = np.random.default_rng(seed)
     tol, worst = 1e-8, 0.0
@@ -769,46 +727,45 @@ def _check_dilation_unitarity(seed, cfg) -> PropertyResult:
     return PropertyResult("dilation_unitarity", worst <= tol, worst, tol)
 
 
-def _check_dilated_repeatability(seed, cfg) -> PropertyResult:
-    rng = np.random.default_rng(seed)
-    tol, worst = 1e-10, 0.0
-    for t in range(_count(cfg, 10)):
-        d = _dim(cfg, t, lo=3, hi=6)
-        obs = states.random_observable(d, _degenerate_profile(rng, d), rng)
-        model = dilation.dilate_luders(obs)
-        rho = states.random_density(d, seed=rng)
-        init = model.apparatus_init
-        joint = model.joint_unitary @ linalg.tensor(
-            rho.matrix, np.outer(init, init.conj())
-        ) @ model.joint_unitary.conj().T
-        n_out = obs.n_outcomes
-        for n, p in enumerate(obs.projectors):
-            marker = np.zeros((n_out, n_out), dtype=complex)
-            marker[n, n] = 1.0
-            lifted = linalg.tensor(np.eye(d), marker)
-            block = lifted @ joint @ lifted
-            prob = float(np.real(np.trace(block)))
-            if prob < 1e-10:
-                continue
-            sys = linalg.partial_trace(block, (d, n_out), keep=0) / prob
-            worst = max(worst, float(np.max(np.abs(sys - p @ sys @ p))))
-    return PropertyResult("dilated_repeatability", worst <= tol, worst, tol)
+@_property(tol=1e-10, trials=10)
+def _check_dilated_repeatability(rng, cfg, t):
+    d = _dim(cfg, t, lo=3, hi=6)
+    obs = states.random_observable(d, _degenerate_profile(rng, d), rng)
+    model = dilation.dilate_luders(obs)
+    rho = states.random_density(d, seed=rng)
+    init = model.apparatus_init
+    joint = model.joint_unitary @ linalg.tensor(
+        rho.matrix, np.outer(init, init.conj())
+    ) @ model.joint_unitary.conj().T
+    n_out = obs.n_outcomes
+    residuals = []
+    for n, p in enumerate(obs.projectors):
+        marker = np.zeros((n_out, n_out), dtype=complex)
+        marker[n, n] = 1.0
+        lifted = linalg.tensor(np.eye(d), marker)
+        block = lifted @ joint @ lifted
+        prob = float(np.real(np.trace(block)))
+        if prob < 1e-10:
+            continue
+        sys = linalg.partial_trace(block, (d, n_out), keep=0) / prob
+        residuals.append(float(np.max(np.abs(sys - p @ sys @ p))))
+    return _worst(*residuals)
 
 
-def _check_theta_blocks_in_eigenspace(seed, cfg) -> PropertyResult:
-    rng = np.random.default_rng(seed)
-    tol, worst = 1e-10, 0.0
-    for t in range(_count(cfg, 10)):
-        d = _dim(cfg, t, lo=3)
-        obs = states.random_observable(d, _degenerate_profile(rng, d), rng)
-        for n in range(obs.n_outcomes):
-            theta_n = obs.block_basis(n) @ states.random_unitary(obs.degeneracies[n], rng)
-            worst = max(
-                worst, float(np.max(np.abs(obs.projectors[n] @ theta_n - theta_n)))
-            )
-    return PropertyResult("theta_blocks_in_eigenspace", worst <= tol, worst, tol)
+@_property(tol=1e-10, trials=10)
+def _check_theta_blocks_in_eigenspace(rng, cfg, t):
+    d = _dim(cfg, t, lo=3)
+    obs = states.random_observable(d, _degenerate_profile(rng, d), rng)
+    thetas = (
+        obs.block_basis(n) @ states.random_unitary(obs.degeneracies[n], rng)
+        for n in range(obs.n_outcomes)
+    )
+    return _worst(
+        *(float(np.max(np.abs(p @ theta - theta))) for p, theta in zip(obs.projectors, thetas))
+    )
 
 
+@_register
 def _check_apparatus_coherence_generation(seed, cfg) -> PropertyResult:
     rng = np.random.default_rng(seed)
     tol, worst = 1e-10, 0.0
@@ -844,78 +801,29 @@ def _check_apparatus_coherence_generation(seed, cfg) -> PropertyResult:
     )
 
 
-def _check_povm_coherence_nonneg(seed, cfg) -> PropertyResult:
-    rng = np.random.default_rng(seed)
-    tol, worst = 1e-10, -np.inf
-    for t in range(_count(cfg, 50)):
-        d = 2 + t % 2
-        povm = states.random_povm(d, 2 + t % 3, rng)
-        rho = states.random_density(d, seed=rng)
-        worst = max(
-            worst,
-            -coherence.povm_coherence(rho, povm),
-            -coherence.povm_coherence_modified(rho, povm),
-        )
-    return PropertyResult("povm_coherence_nonneg", worst <= tol, worst, tol)
+@_property(tol=1e-10, trials=50, start=-np.inf)
+def _check_povm_coherence_nonneg(rng, cfg, t):
+    d = 2 + t % 2
+    povm = states.random_povm(d, 2 + t % 3, rng)
+    rho = states.random_density(d, seed=rng)
+    return _worst(
+        -coherence.povm_coherence(rho, povm),
+        -coherence.povm_coherence_modified(rho, povm),
+    )
 
 
-def _check_povm_projective_reduction(seed, cfg) -> PropertyResult:
-    rng = np.random.default_rng(seed)
-    tol, worst = 1e-10, 0.0
-    for t in range(_count(cfg, 20)):
-        d = _dim(cfg, t)
-        basis = states.random_unitary(d, rng)
-        effects = [np.outer(basis[:, n], basis[:, n].conj()) for n in range(d)]
-        povm = states.make_povm(effects)
-        rho = states.random_density(d, seed=rng)
-        ref = coherence.c_re(rho, basis)
-        worst = max(
-            worst,
-            abs(coherence.povm_coherence(rho, povm) - ref),
-            abs(coherence.povm_coherence_modified(rho, povm) - ref),
-        )
-    return PropertyResult("povm_projective_reduction", worst <= tol, worst, tol)
-
-
-# seed children are spawned in this order; the report is sorted by name
-REGISTRY = (
-    _check_eig_reconstruction,
-    _check_schur_product_psd,
-    _check_relative_entropy_nonneg,
-    _check_relative_entropy_faithful,
-    _check_spectral_reconstruction,
-    _check_fine_graining_resolution,
-    _check_minimal_disturbance_hs,
-    _check_pythagorean_identity,
-    _check_pinching_entropy_increase,
-    _check_pinching_majorization,
-    _check_orthogonal_support_product,
-    _check_unitary_mixing_average,
-    _check_hierarchy_monotonicity,
-    _check_hierarchy_gap_identity,
-    _check_optimal_fine_graining_collapse,
-    _check_discord_decomposition,
-    _check_repeatable_residual_coherence,
-    _check_label_permutation_covariance,
-    _check_gio_schur_equivalence,
-    _check_unital_majorization,
-    _check_schur_eigenvalue_majorization,
-    _check_permutation_coherence_preservation,
-    _check_sieve_action,
-    _check_classify_monotonicity,
-    _check_commutant_dimension_oracle,
-    _check_fixed_point_identity_collapsed,
-    _check_commutator_expansion_identity,
-    _check_dephasing_limit_offdiagonal,
-    _check_schur_power_law,
-    _check_dilation_round_trips,
-    _check_dilation_unitarity,
-    _check_dilated_repeatability,
-    _check_theta_blocks_in_eigenspace,
-    _check_apparatus_coherence_generation,
-    _check_povm_coherence_nonneg,
-    _check_povm_projective_reduction,
-)
+@_property(tol=1e-10, trials=20)
+def _check_povm_projective_reduction(rng, cfg, t):
+    d = _dim(cfg, t)
+    basis = states.random_unitary(d, rng)
+    effects = [np.outer(basis[:, n], basis[:, n].conj()) for n in range(d)]
+    povm = states.make_povm(effects)
+    rho = states.random_density(d, seed=rng)
+    ref = coherence.c_re(rho, basis)
+    return _worst(
+        abs(coherence.povm_coherence(rho, povm) - ref),
+        abs(coherence.povm_coherence_modified(rho, povm) - ref),
+    )
 
 
 def run_all(cfg: VerifyConfig) -> list[PropertyResult]:
