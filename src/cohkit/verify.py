@@ -9,6 +9,7 @@ timing or machine state; two runs with the same seed emit identical bytes.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,10 +51,14 @@ def _dim(cfg: VerifyConfig, t: int, lo: int = 2, hi: int = 8) -> int:
 
 
 def _worst(*values: float, start: float = -np.inf) -> float:
-    """The largest of ``start`` and ``values``; ties keep the earlier one."""
+    """The largest of ``start`` and ``values``; ties keep the earlier one.
+
+    A NaN value makes the result NaN, which fails every ``worst <= tol``;
+    ``max`` alone drops a NaN that follows a number.
+    """
     worst = start
     for v in values:
-        worst = max(worst, v)
+        worst = v if math.isnan(v) else max(worst, v)
     return worst
 
 
@@ -367,12 +372,12 @@ def _check_discord_decomposition(seed, cfg) -> PropertyResult:
         j = coherence.classical_correlation(state, obs)
         qi = coherence.qi_coherence(state, obs)
         local = coherence.c_re_coarse(state.reduced_b(), obs)
-        worst = max(worst, abs(j + delta - info), abs(delta - (qi - local)))
+        worst = _worst(worst, abs(j + delta - info), abs(delta - (qi - local)))
         if obs.n_outcomes < obs.dim:  # degenerate reading
-            witness_best = max(
+            witness_best = _worst(
                 witness_best, _conditional_mutual_information_sum(state, obs)
             )
-    if witness_best <= 1e-3:
+    if not witness_best > 1e-3:
         worst = float("inf")
     return PropertyResult(
         "discord_decomposition",
@@ -652,7 +657,7 @@ def _unit_action_residual(ch: channels.KrausChannel, reference) -> float:
             unit = np.zeros((d, d), dtype=complex)
             unit[i, j] = 1.0
             diff = channels.apply_to_operator(ch, unit) - reference(unit)
-            worst = max(worst, float(np.max(np.abs(diff))))
+            worst = _worst(worst, float(np.max(np.abs(diff))))
     return worst
 
 
@@ -713,7 +718,7 @@ def _check_dilation_round_trips(seed, cfg) -> PropertyResult:
     tol, worst = 1e-10, 0.0
     for model, reference in _dilation_cases(rng, cfg):
         extracted = dilation.extract_kraus(model)
-        worst = max(worst, _unit_action_residual(extracted, reference))
+        worst = _worst(worst, _unit_action_residual(extracted, reference))
     return PropertyResult("dilation_round_trips", worst <= tol, worst, tol)
 
 
@@ -723,7 +728,7 @@ def _check_dilation_unitarity(seed, cfg) -> PropertyResult:
     tol, worst = 1e-8, 0.0
     for model, _ in _dilation_cases(rng, cfg):
         u = model.joint_unitary
-        worst = max(worst, float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0])))))
+        worst = _worst(worst, float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0])))))
     return PropertyResult("dilation_unitarity", worst <= tol, worst, tol)
 
 
@@ -786,11 +791,11 @@ def _check_apparatus_coherence_generation(seed, cfg) -> PropertyResult:
             full = np.outer(joint_out, joint_out.conj())
             sys = linalg.partial_trace(full, (d, d_a), keep=0)
             app = linalg.partial_trace(full, (d, d_a), keep=1)
-            worst = max(worst, float(np.max(np.abs(sys - np.outer(vec, vec.conj())))))
-            apparatus_best = max(
+            worst = _worst(worst, float(np.max(np.abs(sys - np.outer(vec, vec.conj())))))
+            apparatus_best = _worst(
                 apparatus_best, coherence.c_l1(app, np.eye(d_a, dtype=complex))
             )
-    if apparatus_best <= 1e-3:
+    if not apparatus_best > 1e-3:
         worst = float("inf")
     return PropertyResult(
         "apparatus_coherence_generation",
