@@ -212,8 +212,8 @@ def relative_entropy(rho, sigma, tol: float = DEFAULT_TOL) -> float:
 
 def _sorted_desc(x) -> np.ndarray:
     v = np.asarray(x, dtype=complex)
-    if v.ndim != 1:
-        raise ShapeMismatchError("expected a 1-D vector")
+    if v.ndim != 1 or v.size == 0:
+        raise ShapeMismatchError("expected a nonempty 1-D vector")
     if np.max(np.abs(v.imag), initial=0.0) > 1e-12:
         raise BadParameterError("majorization is defined for real vectors")
     return np.sort(v.real)[::-1]

@@ -98,6 +98,8 @@ class Observable:
         vals = np.asarray(self.eigenvalues, dtype=float)
         if vals.ndim != 1 or len(self.projectors) != vals.size:
             raise ShapeMismatchError("eigenvalue/projector count mismatch")
+        if not self.projectors:
+            raise BadParameterError("an observable needs at least one outcome")
         if np.any(np.diff(vals) >= 0):
             raise BadParameterError("distinct eigenvalues must be strictly decreasing")
         d = self.dim
@@ -123,6 +125,8 @@ class Observable:
 def observable_from_projectors(values, projectors, tol: float = linalg.DEFAULT_TOL) -> Observable:
     """Build an Observable from eigenvalues and projectors, sorting values decreasing."""
     vals = np.asarray(values, dtype=float)
+    if vals.ndim != 1 or len(projectors) != vals.size:
+        raise ShapeMismatchError("eigenvalue/projector count mismatch")
     order = np.argsort(-vals, kind="stable")
     projs = tuple(linalg.as_square(projectors[i]) for i in order)
     degs = tuple(int(round(float(np.real(np.trace(p))))) for p in projs)
@@ -140,6 +144,8 @@ def spectral_decompose(h, group_tol: float = 1e-6) -> Observable:
     """
     spec = linalg.hermitian_eig(h)
     w, v = spec.eigenvalues, spec.eigenvectors
+    if w.size == 0:
+        raise ShapeMismatchError("cannot decompose an empty matrix")
     groups: list[list[int]] = [[0]]
     for i in range(1, w.size):
         if w[i - 1] - w[i] >= group_tol:
@@ -283,6 +289,8 @@ class Povm:
 
 def make_povm(effects, tol: float = linalg.DEFAULT_TOL) -> Povm:
     ops = tuple(linalg.as_square(e) for e in effects)
+    if not ops:
+        raise BadParameterError("a POVM needs at least one effect")
     d = ops[0].shape[0]
     total = np.zeros((d, d), dtype=complex)
     for n, e in enumerate(ops):

@@ -111,3 +111,8 @@ def test_schur_product_and_norms():
     m = np.array([[3.0, -4.0j]])
     assert linalg.hs_norm(m) == 5.0
     assert linalg.entrywise_l1(m) == 7.0
+
+
+def test_majorizes_rejects_empty_vectors():
+    with pytest.raises(ShapeMismatchError):
+        linalg.majorizes([], [])

@@ -10,6 +10,7 @@ from cohkit.errors import (
     NonOrthonormalError,
     NotHermitianError,
     NotPositiveError,
+    ShapeMismatchError,
     TraceNotOneError,
     VectorOutsideEigenspaceError,
 )
@@ -131,3 +132,25 @@ def test_bipartite_reductions():
     assert np.max(np.abs(st.reduced_b().matrix - b)) < 1e-12
     with pytest.raises(DimMismatchError):
         states.bipartite(np.kron(a, b), 2, 2)
+
+
+def test_make_povm_rejects_no_effects():
+    with pytest.raises(BadParameterError):
+        states.make_povm([])
+
+
+def test_observable_from_projectors_rejects_no_outcomes():
+    with pytest.raises(BadParameterError):
+        states.observable_from_projectors([], [])
+
+
+def test_observable_from_projectors_rejects_count_mismatch():
+    with pytest.raises(ShapeMismatchError):
+        states.observable_from_projectors([1.0, 0.0], [np.eye(2)])
+    with pytest.raises(ShapeMismatchError):
+        states.observable_from_projectors([1.0], [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+
+
+def test_spectral_decompose_rejects_empty_matrix():
+    with pytest.raises(ShapeMismatchError):
+        states.spectral_decompose(np.zeros((0, 0)))
