@@ -1,6 +1,7 @@
 import contextlib
 import io
 import math
+import sys
 
 import numpy as np
 
@@ -15,7 +16,7 @@ def _nan(*args, **kwargs):
 def test_nan_trial_value_fails_its_property(monkeypatch):
     # max(0.0, nan) is 0.0, so a NaN that the reduction dropped would pass
     monkeypatch.setattr(linalg, "relative_entropy", _nan)
-    results = {r.name: r for r in verify.run_all(VerifyConfig(seed=0))}
+    results = {r.name: r for r in verify.run_all(VerifyConfig(seed=0, trials=1))}
     for name in ("relative_entropy_nonneg", "relative_entropy_faithful", "pythagorean_identity"):
         assert not results[name].passed, name
         assert math.isnan(results[name].worst), name
@@ -28,3 +29,95 @@ def test_nan_fails_a_whole_check(monkeypatch):
     result = verify._check_discord_decomposition(np.random.SeedSequence(0), VerifyConfig(trials=2))
     assert result.name == "discord_decomposition"
     assert not result.passed and math.isnan(result.worst)
+
+
+# seed children are spawned in this order: moving an entry redraws every
+# seeded report, and the benchmark's tracer names its spans from these names
+NAMES = (
+    "eig_reconstruction",
+    "schur_product_psd",
+    "relative_entropy_nonneg",
+    "relative_entropy_faithful",
+    "spectral_reconstruction",
+    "fine_graining_resolution",
+    "minimal_disturbance_hs",
+    "pythagorean_identity",
+    "pinching_entropy_increase",
+    "pinching_majorization",
+    "orthogonal_support_product",
+    "unitary_mixing_average",
+    "hierarchy_monotonicity",
+    "hierarchy_gap_identity",
+    "optimal_fine_graining_collapse",
+    "discord_decomposition",
+    "repeatable_residual_coherence",
+    "label_permutation_covariance",
+    "gio_schur_equivalence",
+    "unital_majorization",
+    "schur_eigenvalue_majorization",
+    "permutation_coherence_preservation",
+    "sieve_action",
+    "classify_monotonicity",
+    "commutant_dimension_oracle",
+    "fixed_point_identity_collapsed",
+    "commutator_expansion_identity",
+    "dephasing_limit_offdiagonal",
+    "schur_power_law",
+    "dilation_round_trips",
+    "dilation_unitarity",
+    "dilated_repeatability",
+    "theta_blocks_in_eigenspace",
+    "apparatus_coherence_generation",
+    "povm_coherence_nonneg",
+    "povm_projective_reduction",
+)
+WHOLE = {
+    "discord_decomposition",
+    "dilation_round_trips",
+    "dilation_unitarity",
+    "apparatus_coherence_generation",
+}
+
+
+def test_registry_lists_every_property_in_seed_order():
+    assert [check.__name__ for check in verify.REGISTRY] == ["_check_" + n for n in NAMES]
+    cfg = VerifyConfig(trials=1)
+    for check, name in zip(verify.REGISTRY, NAMES):
+        assert check(np.random.SeedSequence(0), cfg).name == name
+
+
+def test_run_all_runs_each_per_trial_property_trials_times():
+    trials = {check.__wrapped__.__code__: check.__name__ for check in verify.REGISTRY
+              if hasattr(check, "__wrapped__")}
+    assert sorted(name.removeprefix("_check_") for name in trials.values()) == sorted(
+        set(NAMES) - WHOLE
+    )
+    calls = dict.fromkeys(trials, 0)
+
+    def count(frame, event, arg):
+        if event == "call" and frame.f_code in calls:
+            calls[frame.f_code] += 1
+
+    sys.setprofile(count)
+    try:
+        results = verify.run_all(VerifyConfig(trials=2))
+    finally:
+        sys.setprofile(None)
+    assert [r.name for r in results] == sorted(NAMES)
+    assert {trials[code]: n for code, n in calls.items()} == dict.fromkeys(trials.values(), 2)
+
+
+def test_run_all_reads_the_registry_when_called(monkeypatch):
+    seen = []
+
+    def fake(name):
+        def check(seed, cfg):
+            seen.append((name, seed.spawn_key))
+            return verify.PropertyResult(name, True, 0.0, 0.0)
+
+        return check
+
+    monkeypatch.setattr(verify, "REGISTRY", (fake("b"), fake("a")))
+    results = verify.run_all(VerifyConfig(seed=4))
+    assert [r.name for r in results] == ["a", "b"]
+    assert seen == [("b", (0,)), ("a", (1,))]
