@@ -1,9 +1,20 @@
 """Seeded self-check suite behind the command line's verify subcommand.
 
+Most properties are a per-trial function ``_check_<name>(rng, cfg, t) ->
+float`` declared with ``@_property(tol, trials, start)``. The harness runs
+``trials`` trials (``cfg.trials`` overrides the count) on one generator,
+keeps the largest trial value, starting from ``start`` (0.0 for magnitudes,
+-inf for signed margins), and passes the property when that worst value is
+at most ``tol``. A NaN trial value makes the worst value NaN, which fails.
+A check that needs a list of cases or a detail string is a whole
+``_check_<name>(seed, cfg) -> PropertyResult`` declared with ``@_register``.
+
 Every named property draws its randomness from a child of one root seed
-(SeedSequence spawning, one child per property in registry order), so the
-whole report is a pure function of the configuration. Nothing here prints
-timing or machine state; two runs with the same seed emit identical bytes.
+(SeedSequence spawning, one child per property in definition order, which
+is the order of ``REGISTRY``), so the whole report is a pure function of the
+configuration, and moving a definition redraws every report. Nothing here
+prints timing or machine state; two runs with the same seed emit identical
+bytes.
 """
 
 from __future__ import annotations
@@ -73,12 +84,7 @@ def _register(check):
 
 
 def _property(tol: float, trials: int, start: float = 0.0):
-    """Register ``_check_<name>(rng, cfg, t) -> float`` as the property <name>.
-
-    The check runs ``trials`` trials (or ``cfg.trials``) on one generator
-    seeded from its child seed and passes when the largest trial value,
-    starting from ``start``, is at most ``tol``.
-    """
+    """Register ``_check_<name>(rng, cfg, t) -> float`` as the property <name>."""
 
     def declare(trial):
         name = trial.__name__.removeprefix("_check_")
