@@ -3,11 +3,19 @@
 All random generators are deterministic functions of their seed. A single
 64-bit seed is split into independent streams with numpy's SeedSequence
 spawning, so every consumer can derive child seeds without correlation.
+
+Observables and fine-grainings are immutable: their fields cannot be
+reassigned and every array they hold is a read-only copy, so an observable
+never changes after it is built (to change one, build a new one). Structure
+derived from them, the block bases of an observable and the fine-grained
+basis, is therefore computed once, on first use, and shared by every later
+call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -65,13 +73,36 @@ def validate_density(m, tol: float = linalg.DEFAULT_TOL) -> DensityMatrix:
     return DensityMatrix(matrix=a)
 
 
-@dataclass(eq=False)
+def _read_only(a) -> np.ndarray:
+    # a private copy that nothing can write to, so no caller's array is aliased
+    out = np.array(a)
+    out.setflags(write=False)
+    return out
+
+
+@dataclass(eq=False, frozen=True)
 class Observable:
-    """A Hermitian observable as distinct eigenvalues with orthogonal projectors."""
+    """A Hermitian observable as distinct eigenvalues with orthogonal projectors.
+
+    Immutable: the fields cannot be reassigned and the eigenvalues and
+    projectors are read-only copies of what the constructor was given. Each
+    block basis is computed on its first use and reused after it.
+    """
 
     eigenvalues: np.ndarray        # distinct, strictly decreasing
     projectors: tuple[np.ndarray, ...]
     degeneracies: tuple[int, ...]
+
+    def __post_init__(self):
+        # a frozen dataclass sets its own fields through object.__setattr__
+        object.__setattr__(self, "eigenvalues", _read_only(self.eigenvalues))
+        object.__setattr__(self, "projectors", tuple(_read_only(p) for p in self.projectors))
+        object.__setattr__(self, "degeneracies", tuple(self.degeneracies))
+
+    @cached_property
+    def _block_bases(self) -> list:
+        # slot n holds block_basis(n) once it has been computed
+        return [None] * self.n_outcomes
 
     @property
     def dim(self) -> int:
@@ -85,13 +116,21 @@ class Observable:
         return sum(r * p for r, p in zip(self.eigenvalues, self.projectors))
 
     def block_basis(self, n: int) -> np.ndarray:
-        """Deterministic orthonormal basis (columns) of range(P_n)."""
-        spec = linalg.hermitian_eig(self.projectors[n])
-        cols = spec.eigenvectors[:, spec.eigenvalues > 0.5]
-        if cols.shape[1] != self.degeneracies[n]:
-            raise VectorOutsideEigenspaceError(
-                f"projector {n} has rank {cols.shape[1]}, expected {self.degeneracies[n]}"
-            )
+        """Deterministic orthonormal basis (columns) of range(P_n), read-only.
+
+        The first call for n diagonalizes P_n; later calls return the same
+        array. A rank that differs from the degeneracy raises on every call.
+        """
+        cols = self._block_bases[n]
+        if cols is None:
+            spec = linalg.hermitian_eig(self.projectors[n])
+            cols = spec.eigenvectors[:, spec.eigenvalues > 0.5]
+            if cols.shape[1] != self.degeneracies[n]:
+                raise VectorOutsideEigenspaceError(
+                    f"projector {n} has rank {cols.shape[1]}, expected {self.degeneracies[n]}"
+                )
+            cols.setflags(write=False)
+            self._block_bases[n] = cols
         return cols
 
     def validate(self, tol: float = linalg.DEFAULT_TOL) -> "Observable":
@@ -176,33 +215,47 @@ def spectral_decompose(h, group_tol: float = 1e-6) -> Observable:
     )
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class FineGraining:
     """Per-block orthonormal bases refining an observable's eigenspaces.
 
     blocks[n] holds the d x d_n basis columns of range(P_n); labels[n] holds
     the distinct fine-grained outcome labels, chosen so block membership is
-    recoverable from the label alone.
+    recoverable from the label alone. Immutable like Observable: blocks and
+    labels are read-only copies, and the joined basis and the block slices
+    are computed on first use and reused after it.
     """
 
     parent: Observable
     blocks: tuple[np.ndarray, ...]
     labels: tuple[np.ndarray, ...]
 
+    def __post_init__(self):
+        object.__setattr__(self, "blocks", tuple(_read_only(b) for b in self.blocks))
+        object.__setattr__(self, "labels", tuple(_read_only(x) for x in self.labels))
+
     @property
     def dim(self) -> int:
         return self.parent.dim
 
-    @property
+    @cached_property
     def basis(self) -> np.ndarray:
-        return np.hstack(self.blocks)
+        """The d x d fine-grained basis: the blocks side by side, read-only."""
+        b = np.hstack(self.blocks)
+        b.setflags(write=False)
+        return b
 
-    def block_slices(self) -> list[slice]:
+    @cached_property
+    def _block_slices(self) -> tuple[slice, ...]:
         out, start = [], 0
         for b in self.blocks:
             out.append(slice(start, start + b.shape[1]))
             start += b.shape[1]
-        return out
+        return tuple(out)
+
+    def block_slices(self) -> tuple[slice, ...]:
+        """Column range of each block inside basis."""
+        return self._block_slices
 
     def refines(self, obs: Observable, tol: float = linalg.DEFAULT_TOL) -> bool:
         if len(self.blocks) != obs.n_outcomes or self.dim != obs.dim:

@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from cohkit import states
+from cohkit import instruments, linalg, states
 from cohkit.errors import (
     AmbiguousGroupingError,
     BadParameterError,
@@ -154,3 +156,82 @@ def test_observable_from_projectors_rejects_count_mismatch():
 def test_spectral_decompose_rejects_empty_matrix():
     with pytest.raises(ShapeMismatchError):
         states.spectral_decompose(np.zeros((0, 0)))
+
+
+def test_observable_and_fine_graining_fields_are_frozen():
+    obs = states.random_observable(4, (3, 1), seed=2)
+    fg = states.fine_graining(obs)
+    for field, value in (("eigenvalues", np.zeros(2)), ("projectors", ()), ("degeneracies", (4,))):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obs, field, value)
+    for field, value in (("parent", obs), ("blocks", ()), ("labels", ())):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(fg, field, value)
+
+
+def test_observable_and_fine_graining_arrays_are_read_only():
+    obs = states.random_observable(4, (3, 1), seed=2)
+    fg = states.fine_graining(obs)
+    arrays = (obs.eigenvalues, obs.projectors[0], obs.block_basis(0), fg.blocks[0], fg.labels[0], fg.basis)
+    for a in arrays:
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+    with pytest.raises(ValueError):
+        fg.basis[:, :] = 0.0
+
+
+def test_constructors_copy_the_callers_arrays():
+    p0, p1 = np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)
+    obs = states.observable_from_projectors([1.0, -1.0], [p0, p1])
+    assert p0.flags.writeable and p1.flags.writeable
+    p0[0, 0] = 7.0
+    assert obs.projectors[0][0, 0] == 1.0
+    obs.validate()
+
+    b0, b1 = np.eye(2, dtype=complex)[:, :1].copy(), np.eye(2, dtype=complex)[:, 1:].copy()
+    fg = states.fine_graining(obs, [b0, b1])
+    assert b0.flags.writeable and b1.flags.writeable
+    b0[0, 0] = 7.0
+    assert fg.blocks[0][0, 0] == 1.0
+    assert fg.basis[0, 0] == 1.0
+    assert fg.refines(obs)
+
+
+@pytest.fixture
+def eig_calls(monkeypatch):
+    calls = []
+    eig = linalg.hermitian_eig
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return eig(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "hermitian_eig", counted)
+    return calls
+
+
+def test_block_bases_are_computed_once(eig_calls):
+    obs = states.random_observable(6, (3, 2, 1), seed=4)
+    assert obs.block_basis(1) is obs.block_basis(1)
+    assert len(eig_calls) == 1
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        instruments.random_block_diagonal(obs, rng)
+    assert len(eig_calls) == obs.n_outcomes
+    fg = states.fine_graining(obs)
+    assert fg.basis is fg.basis
+    assert fg.block_slices() is fg.block_slices()
+    assert len(eig_calls) == obs.n_outcomes
+
+
+def test_block_basis_rank_mismatch_raises_on_every_call(eig_calls):
+    # degeneracies disagree with the projector ranks, so no basis is cached
+    obs = states.Observable(
+        eigenvalues=np.array([1.0, 0.0]),
+        projectors=(np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)),
+        degeneracies=(2, 0),
+    )
+    for _ in range(3):
+        with pytest.raises(VectorOutsideEigenspaceError):
+            obs.block_basis(0)
+    assert len(eig_calls) == 3
