@@ -22,6 +22,7 @@ from .errors import (
     NotPSDError,
     NotTracePreservingError,
     NotUnitalError,
+    ShapeMismatchError,
 )
 from .states import DensityMatrix, as_generator, random_unitary
 
@@ -61,6 +62,8 @@ def kraus_channel(ops, tol: float = linalg.DEFAULT_TOL) -> KrausChannel:
     if not ops:
         raise BadParameterError("at least one Kraus operator is required")
     d = ops[0].shape[0]
+    if d == 0:
+        raise ShapeMismatchError("Kraus operators must not be empty matrices")
     for k in ops:
         if k.shape != (d, d):
             raise DimMismatchError("Kraus operator dimensions differ")
@@ -212,7 +215,9 @@ def io_completeness_check(ch: KrausChannel, basis=None, tol: float = linalg.DEFA
 
 
 def _correlation_spectrum(c: np.ndarray, tol: float) -> linalg.Spectrum:
-    # the correlation-matrix contract: Hermitian, unit diagonal, PSD
+    # the correlation-matrix contract: nonempty, Hermitian, unit diagonal, PSD
+    if c.size == 0:
+        raise ShapeMismatchError("a correlation matrix must not be empty")
     if linalg.hermiticity_defect(c) > tol:
         raise NotHermitianError("correlation matrix is not Hermitian")
     if np.max(np.abs(np.diag(c) - 1.0)) > tol:

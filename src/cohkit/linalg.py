@@ -65,6 +65,8 @@ def basis_matrix(basis, dim: int, tol: float = DEFAULT_TOL) -> np.ndarray:
     ``basis`` is a matrix or an object with a ``.basis`` (a fine-graining).
     """
     b = np.asarray(getattr(basis, "basis", basis), dtype=complex)
+    if dim == 0:
+        raise ShapeMismatchError("a basis needs at least one vector")
     if b.shape != (dim, dim):
         raise BadBasisError(f"basis must be {dim}x{dim}, got {b.shape}")
     if orthonormality_defect(b) > tol:

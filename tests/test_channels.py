@@ -12,6 +12,7 @@ from cohkit.errors import (
     NotPSDError,
     NotTracePreservingError,
     NotUnitalError,
+    ShapeMismatchError,
 )
 
 PLUS = np.full((2, 2), 0.5)
@@ -263,3 +264,13 @@ def test_diagonal_kraus_decisions_agree_at_zero_tol(off, diagonal):
         with pytest.raises(NotGIOError):
             channels.correlation_matrix_of(ch)
         assert np.array_equal(step, channels.apply_to_operator(ch, PLUS))
+
+
+def test_kraus_channel_rejects_empty_matrix():
+    with pytest.raises(ShapeMismatchError):
+        channels.kraus_channel([np.zeros((0, 0))])
+
+
+def test_gio_from_correlation_rejects_empty_matrix():
+    with pytest.raises(ShapeMismatchError):
+        channels.gio_from_correlation(np.zeros((0, 0)))

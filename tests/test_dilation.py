@@ -6,6 +6,7 @@ from cohkit.errors import (
     BadDimensionError,
     InvalidModelError,
     NotIsometryError,
+    ShapeMismatchError,
     UnsupportedClassError,
 )
 
@@ -233,3 +234,8 @@ def test_round_trip_residual_sees_a_single_output_row(target):
     expect = action_residual(dilation.extract_kraus(model), weakened)
     assert expect > 0.5
     assert abs(cli._round_trip_residual(model, weakened) - expect) <= 1e-15
+
+
+def test_dilate_von_neumann_rejects_empty_matrix():
+    with pytest.raises(ShapeMismatchError):
+        dilation.dilate_von_neumann(np.zeros((0, 0)))
