@@ -176,8 +176,6 @@ def test_observable_and_fine_graining_arrays_are_read_only():
     for a in arrays:
         with pytest.raises(ValueError):
             a[0] = 0.0
-    with pytest.raises(ValueError):
-        fg.basis[:, :] = 0.0
 
 
 def test_constructors_copy_the_callers_arrays():
