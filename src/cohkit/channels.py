@@ -3,6 +3,8 @@
 Classification is decomposition-relative: it inspects the Kraus list actually
 supplied, in the declared reference basis (default: the standard basis).
 Entries below 1e-10 in absolute value are treated as zero throughout.
+Channels are immutable: one read-only (r, d, d) stack of Kraus operators,
+factored in one vectorized pass. To change a channel, build a new one.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .errors import (
     NotUnitalError,
     ShapeMismatchError,
 )
-from .states import DensityMatrix, as_generator, random_unitary
+from .states import DensityMatrix, _read_only, as_generator, random_unitary
 
 ZERO_TOL = 1e-10
 RANK_TOL = 1e-12
@@ -35,13 +37,19 @@ IO_NOT_SIO = "IO-not-SIO"
 NOT_IO = "not-IO"
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class KrausChannel:
-    """A completely positive map given by its Kraus operators."""
+    """A completely positive map given by its Kraus operators.
 
-    kraus: tuple[np.ndarray, ...]
+    Immutable: kraus is a read-only (r, d, d) copy of the operators given.
+    """
+
+    kraus: np.ndarray
     trace_preserving: bool
     unital: bool
+
+    def __post_init__(self):
+        object.__setattr__(self, "kraus", _read_only(self.kraus))
 
     @property
     def dim(self) -> int:
@@ -58,24 +66,25 @@ def kraus_channel(ops, tol: float = linalg.DEFAULT_TOL) -> KrausChannel:
     Non-trace-preserving lists are accepted as quantum operations provided
     sum K^dag K <= 1 within tolerance.
     """
-    ops = tuple(linalg.as_square(k) for k in ops)
+    ops = [linalg.as_square(k) for k in ops]
     if not ops:
         raise BadParameterError("at least one Kraus operator is required")
     d = ops[0].shape[0]
     if d == 0:
         raise ShapeMismatchError("Kraus operators must not be empty matrices")
-    for k in ops:
-        if k.shape != (d, d):
-            raise DimMismatchError("Kraus operator dimensions differ")
-    total = sum(k.conj().T @ k for k in ops)
+    if any(k.shape != (d, d) for k in ops):
+        raise DimMismatchError("Kraus operator dimensions differ")
+    ks = np.array(ops)
+    ks_dag = ks.conj().transpose(0, 2, 1)
+    total = np.sum(ks_dag @ ks, axis=0)
     tp = bool(np.max(np.abs(total - np.eye(d))) <= tol)
     if not tp:
         w = linalg.hermitian_eig(linalg.hermitize(total)).eigenvalues
         if w.max(initial=0.0) > 1.0 + tol:
             raise BadParameterError("sum K^dag K exceeds the identity: not an operation")
-    dual = sum(k @ k.conj().T for k in ops)
+    dual = np.sum(ks @ ks_dag, axis=0)
     unital = bool(np.max(np.abs(dual - np.eye(d))) <= tol)
-    return KrausChannel(kraus=ops, trace_preserving=tp, unital=unital)
+    return KrausChannel(kraus=ks, trace_preserving=tp, unital=unital)
 
 
 def apply_to_operator(ch: KrausChannel, x) -> np.ndarray:
@@ -126,38 +135,38 @@ class IndexMap:
 
     def matrix(self) -> np.ndarray:
         m = np.zeros((self.dim, self.dim), dtype=complex)
-        for i, f_i in enumerate(self.mapping):
-            m[f_i, i] = 1.0
+        m[np.asarray(self.mapping, dtype=int), np.arange(self.dim)] = 1.0
         return m
 
 
-def _rotated_kraus(ops, basis) -> list[np.ndarray]:
+def _rotated_kraus(ks: np.ndarray, basis) -> np.ndarray:
     if basis is None:
-        return list(ops)
-    b = linalg.basis_matrix(basis, ops[0].shape[0])
-    return [b.conj().T @ k @ b for k in ops]
+        return ks
+    b = linalg.basis_matrix(basis, ks.shape[1])
+    return b.conj().T @ ks @ b
 
 
-def _all_diagonal(ops, zero_tol: float = ZERO_TOL) -> bool:
+def _all_diagonal(ks: np.ndarray, zero_tol: float = ZERO_TOL) -> bool:
     # the one zero test behind GIO: every off-diagonal entry below zero_tol
-    return all(np.max(np.abs(k - np.diag(np.diag(k)))) < zero_tol for k in ops)
+    off = ~np.eye(ks.shape[1], dtype=bool)
+    return bool(np.max(np.abs(ks[:, off]), initial=0.0) < zero_tol)
 
 
-def _factor_matrix(k: np.ndarray, zero_tol: float) -> tuple[IndexMap, np.ndarray]:
-    d = k.shape[0]
-    mapping, coeffs = [], []
-    for i in range(d):
-        rows = np.flatnonzero(np.abs(k[:, i]) >= zero_tol)
-        if rows.size > 1:
-            raise NotIOFormError(f"column {i} has {rows.size} nonzero entries")
-        if rows.size == 1:
-            mapping.append(int(rows[0]))
-            coeffs.append(k[rows[0], i])
-        else:
-            # an all-zero column leaves the index where it is
-            mapping.append(i)
-            coeffs.append(0.0 + 0.0j)
-    return IndexMap(mapping=tuple(mapping)), np.diag(np.asarray(coeffs, dtype=complex))
+def _factor_stack(ks: np.ndarray, zero_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    # (r, d) arrays f, c: column i of K_n has its one entry >= zero_tol in row
+    # f[n, i], value c[n, i] (i and 0 if none); the first (n, i) with more raises
+    d = ks.shape[1]
+    large = np.abs(ks) >= zero_tol
+    counts = large.sum(axis=1)
+    bad = np.argwhere(counts > 1)
+    if bad.size:
+        n, i = bad[0]
+        raise NotIOFormError(f"column {i} has {counts[n, i]} nonzero entries")
+    rows = (large * np.arange(d)[:, None]).sum(axis=1)  # the row of the one large entry
+    hit = counts == 1
+    f = np.where(hit, rows, np.arange(d))
+    c = np.where(hit, np.take_along_axis(ks, rows[:, None, :], axis=1)[:, 0, :], 0j)
+    return f, c
 
 
 def factor_kraus(k, basis=None, zero_tol: float = ZERO_TOL) -> tuple[IndexMap, np.ndarray]:
@@ -168,8 +177,25 @@ def factor_kraus(k, basis=None, zero_tol: float = ZERO_TOL) -> tuple[IndexMap, n
     diagonal operator always factors through the identity map. The product
     M(f) @ K_diag reproduces K exactly (up to entries treated as zero).
     """
-    kk = _rotated_kraus([linalg.as_square(k)], basis)[0]
-    return _factor_matrix(kk, zero_tol)
+    f, c = _factor_stack(_rotated_kraus(linalg.as_square(k)[None], basis), zero_tol)
+    return IndexMap(mapping=tuple(f[0].tolist())), np.diag(c[0])
+
+
+def _incoherent_form(ch: KrausChannel, basis=None, zero_tol: float = ZERO_TOL):
+    # classify's label with the factoring (f, c) it read it from; None for not-IO
+    if not ch.trace_preserving:
+        raise NotTracePreservingError("classification is defined for channels")
+    ks = _rotated_kraus(ch.kraus, basis)
+    try:
+        form = _factor_stack(ks, zero_tol)
+    except NotIOFormError:
+        return NOT_IO, None
+    if _all_diagonal(ks, zero_tol):
+        return GIO, form
+    # a permutation maps the d columns to d distinct rows
+    if np.all(np.diff(np.sort(form[0], axis=1), axis=1) != 0):
+        return SIO_NOT_GIO, form
+    return IO_NOT_SIO, form
 
 
 def classify(ch: KrausChannel, basis=None, zero_tol: float = ZERO_TOL) -> str:
@@ -179,21 +205,14 @@ def classify(ch: KrausChannel, basis=None, zero_tol: float = ZERO_TOL) -> str:
     times a diagonal, not all diagonal. IO-not-SIO: at most one nonzero per
     column, some index map non-bijective. not-IO: anything else.
     """
-    if not ch.trace_preserving:
-        raise NotTracePreservingError("classification is defined for channels")
-    ks = _rotated_kraus(ch.kraus, basis)
-    if _all_diagonal(ks, zero_tol):
-        return GIO
-    kinds = []
-    for k in ks:
-        try:
-            index_map, _ = _factor_matrix(k, zero_tol)
-        except NotIOFormError:
-            return NOT_IO
-        kinds.append(index_map.kind)
-    if all(kind == "permutation" for kind in kinds):
-        return SIO_NOT_GIO
-    return IO_NOT_SIO
+    return _incoherent_form(ch, basis, zero_tol)[0]
+
+
+def _completeness(f: np.ndarray, c: np.ndarray, tol: float) -> bool:
+    # sum over n of conj(c_i^(n)) c_j^(n) [f_n(i) = f_n(j)], against delta_ij
+    same = f[:, :, None] == f[:, None, :]
+    gram = np.sum(c.conj()[:, :, None] * c[:, None, :] * same, axis=0)
+    return bool(np.max(np.abs(gram - np.eye(f.shape[1]))) <= tol)
 
 
 def io_completeness_check(ch: KrausChannel, basis=None, tol: float = linalg.DEFAULT_TOL) -> bool:
@@ -203,15 +222,7 @@ def io_completeness_check(ch: KrausChannel, basis=None, tol: float = linalg.DEFA
     delta_ij; this is algebraically the same as sum K^dag K = 1 restricted to
     incoherent-form lists.
     """
-    ks = _rotated_kraus(ch.kraus, basis)
-    d = ch.dim
-    gram = np.zeros((d, d), dtype=complex)
-    for k in ks:
-        index_map, diag = _factor_matrix(k, ZERO_TOL)
-        c = np.diag(diag)
-        f = index_map.mapping
-        gram += np.outer(c.conj(), c) * np.equal.outer(f, f)
-    return bool(np.max(np.abs(gram - np.eye(d))) <= tol)
+    return _completeness(*_factor_stack(_rotated_kraus(ch.kraus, basis), ZERO_TOL), tol)
 
 
 def _correlation_spectrum(c: np.ndarray, tol: float) -> linalg.Spectrum:
@@ -258,7 +269,7 @@ def correlation_matrix_of(ch: KrausChannel, basis=None, tol: float = linalg.DEFA
     ks = _rotated_kraus(ch.kraus, basis)
     if not _all_diagonal(ks):
         raise NotGIOError("Kraus operators are not all diagonal in this basis")
-    vectors = np.array([np.diag(k) for k in ks])  # shape (r, d)
+    vectors = np.diagonal(ks, axis1=1, axis2=2).copy()  # shape (r, d)
     c = vectors.conj().T @ vectors
     if np.max(np.abs(np.diag(c) - 1.0)) > tol:
         raise DiagonalNotOneError("dynamical vectors are not normalized")
@@ -298,12 +309,9 @@ def commutant(ch: KrausChannel, cutoff: float = 1e-9) -> list[np.ndarray]:
         raise NotUnitalError("the commutant equals the fixed points only for unital channels")
     d = ch.dim
     eye = np.eye(d)
-    rows = []
-    for k in ch.kraus:
-        for m in (k, k.conj().T):
-            rows.append(np.kron(eye, m.T) - np.kron(m, eye))
-    a = np.vstack(rows)
-    _, s, vh = np.linalg.svd(a)
+    a = np.vstack([np.kron(eye, m.T) - np.kron(m, eye)
+                   for k in ch.kraus for m in (k, k.conj().T)])
+    _, s, vh = np.linalg.svd(a, full_matrices=False)
     rank = int(np.sum(s > cutoff))
     return [vh[i].conj().reshape(d, d) for i in range(rank, d * d)]
 
@@ -331,12 +339,9 @@ def fixed_point_check(ch: KrausChannel, x) -> FixedPointResult:
         raise DimMismatchError("operator and channel dimensions differ")
     phi_x = apply_to_operator(ch, m)
     fixedness = linalg.hs_norm(phi_x - m)
-    lhs = np.zeros_like(m, dtype=complex)
-    dual = np.zeros_like(m, dtype=complex)
-    for k in ch.kraus:
-        comm = m @ k - k @ m
-        lhs += comm @ comm.conj().T
-        dual += k @ k.conj().T
+    comm = m @ ch.kraus - ch.kraus @ m
+    lhs = np.sum(comm @ comm.conj().transpose(0, 2, 1), axis=0)
+    dual = np.sum(ch.kraus @ ch.kraus.conj().transpose(0, 2, 1), axis=0)
     rhs = (
         apply_to_operator(ch, m @ m.conj().T)
         - phi_x @ m.conj().T
@@ -381,8 +386,7 @@ def random_mixed_unitary(dim: int, n_unitaries: int, seed=0) -> KrausChannel:
     """Random convex mixture of unitaries; always unital and trace preserving."""
     rng = as_generator(seed)
     weights = rng.dirichlet(np.ones(n_unitaries))
-    ops = [np.sqrt(w) * random_unitary(dim, rng) for w in weights]
-    return kraus_channel(ops)
+    return kraus_channel([np.sqrt(w) * random_unitary(dim, rng) for w in weights])
 
 
 def random_sio(dim: int, n_kraus: int, seed=0) -> KrausChannel:
@@ -390,14 +394,10 @@ def random_sio(dim: int, n_kraus: int, seed=0) -> KrausChannel:
     rng = as_generator(seed)
     coeffs = rng.standard_normal((n_kraus, dim)) + 1j * rng.standard_normal((n_kraus, dim))
     coeffs /= np.linalg.norm(coeffs, axis=0, keepdims=True)
-    ops = []
-    for n in range(n_kraus):
-        perm = rng.permutation(dim)
-        k = np.zeros((dim, dim), dtype=complex)
-        for i in range(dim):
-            k[perm[i], i] = coeffs[n, i]
-        ops.append(k)
-    return kraus_channel(ops)
+    perms = [rng.permutation(dim) for _ in range(n_kraus)]
+    ks = np.zeros((n_kraus, dim, dim), dtype=complex)
+    ks[np.arange(n_kraus)[:, None], perms, np.arange(dim)] = coeffs
+    return kraus_channel(ks)
 
 
 def random_io(dim: int, seed=0) -> KrausChannel:
@@ -405,9 +405,6 @@ def random_io(dim: int, seed=0) -> KrausChannel:
     rng = as_generator(seed)
     w = random_unitary(dim, rng)
     prep = rng.integers(0, dim, size=dim)
-    ops = []
-    for n in range(dim):
-        k = np.zeros((dim, dim), dtype=complex)
-        k[prep[n], :] = w[:, n].conj()
-        ops.append(k)
-    return kraus_channel(ops)
+    ks = np.zeros((dim, dim, dim), dtype=complex)
+    ks[np.arange(dim), prep, :] = w.conj().T
+    return kraus_channel(ks)

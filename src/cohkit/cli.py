@@ -77,15 +77,13 @@ def _cmd_measure(args) -> int:
 def _cmd_classify(args) -> int:
     ch = serialize.load(args.channel, expect="channel")
     basis = serialize.load(args.basis, expect="matrix") if args.basis else None
-    label = channels.classify(ch, basis)
-    factors = None
-    complete = None
-    if label != channels.NOT_IO:
-        factors = []
-        for k in ch.kraus:
-            index_map, diag = channels.factor_kraus(k, basis)
-            factors.append((index_map, np.diag(diag)))
-        complete = channels.io_completeness_check(ch, basis)
+    label, form = channels._incoherent_form(ch, basis)
+    factors = complete = None
+    if form is not None:
+        f, c = form
+        maps = [channels.IndexMap(mapping=tuple(row)) for row in f.tolist()]
+        factors = list(zip(maps, c))
+        complete = channels._completeness(f, c, linalg.DEFAULT_TOL)
     corr = channels.correlation_matrix_of(ch, basis) if label == channels.GIO else None
     if args.json:
         doc = {"class": label}
@@ -119,8 +117,8 @@ def _cmd_classify(args) -> int:
 def _round_trip_residual(model, ch) -> float:
     """Largest entry of S_extracted - S_input, S the channel superoperator."""
     d = ch.dim
-    x = np.stack([k.ravel() for k in dilation.extract_kraus(model).kraus])
-    y = np.stack([k.ravel() for k in ch.kraus])
+    x = dilation.extract_kraus(model).kraus.reshape(-1, d * d)
+    y = ch.kraus.reshape(-1, d * d)
     # one d x d^2 row block of S at a time: the full d^2 x d^2 difference
     # (channel_superoperator) peaks near 800 MB at d=64, the blocks near 50 MB
     worst = 0.0

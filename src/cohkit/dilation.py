@@ -72,11 +72,9 @@ def extract_kraus(model: DilationModel) -> KrausChannel:
     d_s, d_a = model.system_dim, model.ancilla_dim
     t = np.asarray(model.joint_unitary, dtype=complex).reshape(d_s, d_a, d_s, d_a)
     init = np.asarray(model.apparatus_init, dtype=complex)
-    ops = []
-    for n in range(model.readout_basis.shape[1]):
-        a_n = model.readout_basis[:, n]
-        ops.append(np.einsum("a,iajb,b->ij", a_n.conj(), t, init))
-    return kraus_channel(ops)
+    # rows a_n^*, contiguous: einsum's summation order follows operand layout
+    readout = np.ascontiguousarray(model.readout_basis.conj().T)
+    return kraus_channel(np.einsum("na,iajb,b->nij", readout, t, init))
 
 
 def householder_unitary(source, target) -> np.ndarray:

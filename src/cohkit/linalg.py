@@ -32,7 +32,7 @@ def as_matrix(m) -> np.ndarray:
     a = np.asarray(getattr(m, "matrix", m), dtype=complex)
     if a.ndim != 2:
         raise ShapeMismatchError(f"expected a 2-D matrix, got ndim={a.ndim}")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+    if not np.all(np.isfinite(a)):
         raise BadParameterError("matrix entries must be finite")
     return a
 
@@ -45,7 +45,10 @@ def as_square(m) -> np.ndarray:
 
 
 def hermiticity_defect(m) -> float:
-    a = as_square(m)
+    return _hermiticity_defect(as_square(m))
+
+
+def _hermiticity_defect(a: np.ndarray) -> float:
     return float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
 
 
@@ -91,7 +94,7 @@ def hermitian_eig(m, tol: float = DEFAULT_TOL) -> Spectrum:
     toolkit works at (d <= 64).
     """
     a = as_square(m)
-    if hermiticity_defect(a) > tol:
+    if _hermiticity_defect(a) > tol:
         raise NotHermitianError(f"matrix is not Hermitian within {tol}")
     try:
         w, v = np.linalg.eigh(hermitize(a))
@@ -142,14 +145,15 @@ def hs_norm(m) -> float:
 
 
 def _clamped_density_eigs(m, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    # Shared validation path: Hermitian, unit trace, PSD within tol.
+    # Shared validation path: Hermitian (hermitian_eig's check), unit trace, PSD.
     a = as_square(m)
-    if hermiticity_defect(a) > tol:
-        raise InvalidStateError(f"state is not Hermitian within {tol}")
+    try:
+        spec = hermitian_eig(a, tol=tol)
+    except NotHermitianError:
+        raise InvalidStateError(f"state is not Hermitian within {tol}") from None
     tr = complex(np.trace(a))
     if abs(tr - 1.0) > tol:
         raise InvalidStateError(f"state trace {tr} is not 1 within {tol}")
-    spec = hermitian_eig(a, tol=tol)
     w = spec.eigenvalues.copy()
     if w.min(initial=0.0) < -tol:
         raise InvalidStateError(f"state has eigenvalue {w.min()} below -{tol}")

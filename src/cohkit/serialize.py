@@ -46,7 +46,7 @@ def matrix_from_json(obj) -> np.ndarray:
     try:
         rows, cols = (int(x) for x in obj["dim"])
         entries = obj["entries"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"malformed matrix object: {exc}") from exc
     if rows < 1 or cols < 1:
         raise ParseError("matrix dimensions must be positive")
@@ -58,7 +58,7 @@ def matrix_from_json(obj) -> np.ndarray:
             raise ParseError("matrix entries must be [re, im] pairs")
         try:
             flat[i] = complex(float(pair[0]), float(pair[1]))
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"non-numeric matrix entry at index {i}") from exc
     return flat.reshape(rows, cols)
 
@@ -141,7 +141,7 @@ def from_json(obj, expect: str | None = None):
             raise ParseError("projector count must match eigenvalue count")
         try:
             values = [float(v) for v in values]
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ParseError("non-numeric eigenvalue") from exc
         return observable_from_projectors(values, [matrix_from_json(p) for p in projs])
     if kind == "fine_graining":
@@ -165,14 +165,14 @@ def from_json(obj, expect: str | None = None):
             raise ParseError("dims must be a two-element list")
         try:
             dim_a, dim_b = int(dims[0]), int(dims[1])
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ParseError("non-integer subsystem dimension") from exc
         return bipartite(matrix_from_json(_require(obj, "matrix")), dim_a, dim_b)
     if kind == "dilation":
         try:
             d_s = int(_require(obj, "system_dim"))
             d_a = int(_require(obj, "ancilla_dim"))
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ParseError("non-integer dilation dimension") from exc
         init = matrix_from_json(_require(obj, "apparatus_init"))
         if init.shape[1] != 1:

@@ -4,12 +4,12 @@ All random generators are deterministic functions of their seed. A single
 64-bit seed is split into independent streams with numpy's SeedSequence
 spawning, so every consumer can derive child seeds without correlation.
 
-Observables and fine-grainings are immutable: their fields cannot be
-reassigned and every array they hold is a read-only copy, so an observable
-never changes after it is built (to change one, build a new one). Structure
-derived from them, the block bases of an observable and the fine-grained
-basis, is therefore computed once, on first use, and shared by every later
-call.
+Observables, fine-grainings and POVMs are immutable: their fields cannot be
+reassigned and every array they hold is a read-only copy, so an object never
+changes after it is built (to change one, build a new one). A POVM holds its
+effects as one read-only (r, d, d) stack. Structure derived from an
+observable, its block bases and the fine-grained basis, is therefore computed
+once, on first use, and shared by every later call.
 """
 
 from __future__ import annotations
@@ -325,11 +325,17 @@ def bipartite(state, dim_a: int, dim_b: int, tol: float = linalg.DEFAULT_TOL) ->
     return BipartiteState(dims=(dim_a, dim_b), state=rho)
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class Povm:
-    """A positive operator-valued measure: Hermitian PSD effects summing to 1."""
+    """A positive operator-valued measure: Hermitian PSD effects summing to 1.
 
-    effects: tuple[np.ndarray, ...]
+    Immutable: effects is a read-only (r, d, d) copy of the effects given.
+    """
+
+    effects: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "effects", _read_only(self.effects))
 
     @property
     def dim(self) -> int:
@@ -345,7 +351,6 @@ def make_povm(effects, tol: float = linalg.DEFAULT_TOL) -> Povm:
     if not ops:
         raise BadParameterError("a POVM needs at least one effect")
     d = ops[0].shape[0]
-    total = np.zeros((d, d), dtype=complex)
     for n, e in enumerate(ops):
         if e.shape != (d, d):
             raise DimMismatchError("effect dimensions differ")
@@ -354,8 +359,7 @@ def make_povm(effects, tol: float = linalg.DEFAULT_TOL) -> Povm:
         w = linalg.hermitian_eig(e, tol=tol).eigenvalues
         if w.min(initial=0.0) < -tol:
             raise NotPositiveError(f"effect {n} has eigenvalue {w.min()} below -{tol}")
-        total += e
-    if np.max(np.abs(total - np.eye(d))) > tol:
+    if np.max(np.abs(sum(ops) - np.eye(d))) > tol:
         raise BadParameterError("effects do not sum to the identity")
     return Povm(effects=ops)
 
@@ -412,14 +416,12 @@ def random_povm(dim: int, n_effects: int, seed=0) -> Povm:
     if n_effects < 1:
         raise BadParameterError("n_effects must be positive")
     rng = as_generator(seed)
-    blocks = []
-    for _ in range(n_effects):
-        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        blocks.append(g @ g.conj().T)
-    total = sum(blocks)
-    spec = linalg.hermitian_eig(total)
+    g = np.array([rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+                  for _ in range(n_effects)])
+    blocks = g @ g.conj().transpose(0, 2, 1)
+    spec = linalg.hermitian_eig(sum(blocks))
     inv_sqrt = spec.eigenvectors @ np.diag(spec.eigenvalues**-0.5) @ spec.eigenvectors.conj().T
-    return Povm(effects=tuple(inv_sqrt @ b @ inv_sqrt for b in blocks))
+    return Povm(effects=inv_sqrt @ blocks @ inv_sqrt)
 
 
 def random_bipartite(dim_a: int, dim_b: int, rank: int | None = None, seed=0) -> BipartiteState:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -246,7 +248,7 @@ def test_classify_rejects_non_unitary_basis():
         channels.classify(channels.phase_damping(0.75), basis=2.0 * np.eye(2))
 
 
-@pytest.mark.parametrize("off, diagonal", [(0.5e-10, True), (2e-10, False)])
+@pytest.mark.parametrize("off, diagonal", [(0.5e-10, True), (1e-10, False), (2e-10, False)])
 def test_diagonal_kraus_decisions_agree_at_zero_tol(off, diagonal):
     # off-diagonal entries on either side of ZERO_TOL decide GIO, the
     # correlation matrix and the Schur-form evolution the same way
@@ -274,3 +276,102 @@ def test_kraus_channel_rejects_empty_matrix():
 def test_gio_from_correlation_rejects_empty_matrix():
     with pytest.raises(ShapeMismatchError):
         channels.gio_from_correlation(np.zeros((0, 0)))
+
+
+def test_kraus_channel_is_frozen_with_a_read_only_stack():
+    ops = [np.sqrt(0.75) * np.eye(2, dtype=complex), np.sqrt(0.25) * np.diag([1.0, -1.0]).astype(complex)]
+    ch = channels.kraus_channel(ops)
+    for field, value in (("kraus", ()), ("trace_preserving", False), ("unital", False)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(ch, field, value)
+    assert ch.kraus.shape == (2, 2, 2) and len(ch.kraus) == 2
+    for k in (ch.kraus[0], ch.kraus):
+        with pytest.raises(ValueError):
+            k[0, 0] = 0.0
+    # the caller's arrays stay writable and are not aliased
+    assert all(k.flags.writeable for k in ops)
+    ops[0][0, 0] = 7.0
+    assert ch.kraus[0][0, 0] == np.sqrt(0.75)
+    assert [np.array_equal(a, b) for a, b in zip(ch.kraus, ops)] == [False, True]
+
+
+def _factor_loop(k, zero_tol=channels.ZERO_TOL):
+    # reference: one column at a time
+    mapping, coeffs = [], []
+    for i in range(k.shape[0]):
+        rows = np.flatnonzero(np.abs(k[:, i]) >= zero_tol)
+        if rows.size > 1:
+            raise NotIOFormError(f"column {i} has {rows.size} nonzero entries")
+        mapping.append(int(rows[0]) if rows.size else i)
+        coeffs.append(k[rows[0], i] if rows.size else 0.0 + 0.0j)
+    return tuple(mapping), np.asarray(coeffs, dtype=complex)
+
+
+def _classify_loop(ks):
+    if all(np.max(np.abs(k - np.diag(np.diag(k)))) < channels.ZERO_TOL for k in ks):
+        return channels.GIO
+    try:
+        maps = [_factor_loop(k)[0] for k in ks]
+    except NotIOFormError:
+        return channels.NOT_IO
+    if all(len(set(m)) == len(m) for m in maps):
+        return channels.SIO_NOT_GIO
+    return channels.IO_NOT_SIO
+
+
+def _completeness_loop(ks):
+    gram = sum(
+        np.outer(c.conj(), c) * np.equal.outer(f, f) for f, c in map(_factor_loop, ks)
+    )
+    return bool(np.max(np.abs(gram - np.eye(ks[0].shape[0]))) <= linalg.DEFAULT_TOL)
+
+
+def _error_or_form(fn, *args):
+    try:
+        return fn(*args)
+    except NotIOFormError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 8, 16, 32, 64])
+def test_vectorized_factoring_matches_the_column_loop(d):
+    rng = np.random.default_rng(d)
+    b = states.random_unitary(d, rng)
+    cases = [
+        channels.random_gio(d, 3, rng),
+        channels.random_sio(d, 2, rng),
+        channels.random_io(d, rng),
+        channels.random_mixed_unitary(d, 2, rng),
+        # K_n = |0><n|: every column but one is zero and keeps its own index
+        channels.kraus_channel([np.outer(np.eye(d)[0], np.eye(d)[n]) for n in range(d)]),
+    ]
+    for ch in cases:
+        rotated = channels.kraus_channel([b @ k @ b.conj().T for k in ch.kraus])
+        for chan, basis in ((ch, None), (rotated, b)):
+            ks = np.array([b.conj().T @ k @ b for k in chan.kraus]) if basis is not None else chan.kraus
+            expect = [_error_or_form(_factor_loop, k) for k in ks]
+            for k, want in zip(chan.kraus, expect):
+                got = _error_or_form(channels.factor_kraus, k, basis)
+                if isinstance(want, str):
+                    assert got == want
+                else:
+                    assert got[0].mapping == want[0]
+                    assert np.array_equal(got[1], np.diag(want[1]))
+            errors = [want for want in expect if isinstance(want, str)]
+            form = _error_or_form(channels._factor_stack, ks, channels.ZERO_TOL)
+            if errors:
+                assert form == errors[0]
+            else:
+                assert np.array_equal(form[0], [want[0] for want in expect])
+                assert np.array_equal(form[1], [want[1] for want in expect])
+                assert channels.io_completeness_check(chan, basis) is _completeness_loop(ks)
+            assert channels.classify(chan, basis) == _classify_loop(ks)
+
+
+def test_stack_factoring_reports_the_first_bad_operator_and_column():
+    good = np.diag([1.0, 0.5, 0.25]).astype(complex)
+    bad = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [0.0, 1.0, 1.0]], dtype=complex)
+    with pytest.raises(NotIOFormError, match="^column 1 has 2 nonzero entries$"):
+        channels._factor_stack(np.array([good, bad, bad.T]), channels.ZERO_TOL)
+    with pytest.raises(NotIOFormError, match="^column 0 has 2 nonzero entries$"):
+        channels._factor_stack(np.array([good, bad.T, bad]), channels.ZERO_TOL)

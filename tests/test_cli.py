@@ -6,6 +6,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from cohkit import channels, cli, serialize, states
 
@@ -227,3 +228,57 @@ def test_gen_observable_terminates_at_d64(tmp_path):
     vals = states.random_observable(64, (1,) * 64, seed=0).eigenvalues
     assert np.array_equal(serialize.load(out, expect="observable").eigenvalues, vals)
     assert np.all(-np.diff(vals) > 0.5)
+
+
+def test_classify_factors_each_operator_once(tmp_path, monkeypatch):
+    calls = []
+    factor = channels._factor_stack
+
+    def counted(ks, zero_tol):
+        calls.append(len(ks))
+        return factor(ks, zero_tol)
+
+    monkeypatch.setattr(channels, "_factor_stack", counted)
+    path = tmp_path / "io.json"
+    run_cli("gen", "channel", "--family", "io", "--dim", "5", "--seed", "3", "--out", str(path))
+    code, text, _ = run_cli("classify", str(path))
+    assert code == 0 and "class: IO-not-SIO" in text
+    assert text.count("relabeling") == 5
+    assert calls == [5]
+
+
+def _with_sentinel(path, edit, literal):
+    # write a valid file with one value replaced by a JSON literal that the
+    # standard encoder cannot produce
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc).replace('"SENTINEL"', literal))
+
+
+def _set(keys, index):
+    def edit(doc):
+        for key in keys:
+            doc = doc[key]
+        doc[index] = "SENTINEL"
+    return edit
+
+
+@pytest.mark.parametrize("target, edit, literal", [
+    ("state", _set(("matrix", "entries", 0), 0), "1" + "0" * 400),
+    ("observable", _set(("eigenvalues",), 0), "1" + "0" * 400),
+    ("state", _set(("matrix", "dim"), 0), "1e400"),
+    ("bipartite", _set(("dims",), 0), "1e400"),
+], ids=["entries", "eigenvalues", "dim", "dims"])
+def test_oversized_numbers_are_parse_errors(tmp_path, target, edit, literal):
+    files = {"state": tmp_path / "state.json", "observable": tmp_path / "obs.json",
+             "bipartite": tmp_path / "bip.json"}
+    run_cli("gen", "state", "--dim", "2", "--out", str(files["state"]))
+    run_cli("gen", "observable", "--dim", "2", "--out", str(files["observable"]))
+    run_cli("gen", "bipartite", "--dims", "2,1", "--out", str(files["bipartite"]))
+    _with_sentinel(files[target], edit, literal)
+    if target == "bipartite":
+        code, _, err = run_cli("discord", str(files["bipartite"]), str(files["observable"]))
+    else:
+        code, _, err = run_cli("measure", str(files["state"]), str(files["observable"]))
+    assert code == 2
+    assert err.startswith("parse error:")

@@ -5,6 +5,7 @@ import pytest
 
 from cohkit import linalg
 from cohkit.errors import (
+    BadParameterError,
     InvalidStateError,
     LengthMismatchError,
     NotHermitianError,
@@ -64,6 +65,18 @@ def test_entropy_rejects_non_state():
         linalg.von_neumann_entropy(np.diag([0.9, 0.3]))
     with pytest.raises(InvalidStateError):
         linalg.von_neumann_entropy(np.diag([1.5, -0.5]))
+
+
+def test_state_checks_keep_their_order():
+    # Hermitian first, then the trace, then positivity
+    with pytest.raises(InvalidStateError, match="not Hermitian"):
+        linalg.von_neumann_entropy(np.array([[2.0, 1.0], [0.0, 0.0]]))
+    with pytest.raises(InvalidStateError, match="trace"):
+        linalg.von_neumann_entropy(np.diag([2.0, -0.5]))
+    with pytest.raises(InvalidStateError, match="eigenvalue"):
+        linalg.von_neumann_entropy(np.diag([1.5, -0.5]))
+    with pytest.raises(BadParameterError, match="finite"):
+        linalg.von_neumann_entropy(np.array([[1.0, 0.0], [0.0, complex(0.0, np.inf)]]))
 
 
 def test_relative_entropy_closed_form_and_support():

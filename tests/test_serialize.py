@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -84,6 +86,15 @@ def test_dilation_round_trip_revalidates():
     assert back.ancilla_dim == model.ancilla_dim
     assert np.array_equal(back.joint_unitary, model.joint_unitary)
     assert np.array_equal(back.apparatus_init, model.apparatus_init)
+
+
+def test_dilation_dimension_overflow_is_a_parse_error():
+    text = serialize.dumps(dilation.dilate_gio(channels.phase_damping(0.75)))
+    for key in ("system_dim", "ancilla_dim"):
+        doc = json.loads(text)
+        doc[key] = "HUGE"
+        with pytest.raises(ParseError, match="non-integer dilation dimension"):
+            serialize.loads(json.dumps(doc).replace('"HUGE"', "1e400"), expect="dilation")
 
 
 def test_expect_mismatch_raises():

@@ -195,6 +195,21 @@ def test_constructors_copy_the_callers_arrays():
     assert fg.refines(obs)
 
 
+def test_povm_is_frozen_with_a_read_only_stack():
+    effects = [np.diag([0.75, 0.25]).astype(complex), np.diag([0.25, 0.75]).astype(complex)]
+    povm = states.make_povm(effects)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        povm.effects = ()
+    assert povm.effects.shape == (2, 2, 2) and povm.n_outcomes == 2
+    for e in (povm.effects[0], states.random_povm(3, 2, seed=1).effects[1]):
+        with pytest.raises(ValueError):
+            e[0, 0] = 0.0
+    # the caller's arrays stay writable and are not aliased
+    assert all(e.flags.writeable for e in effects)
+    effects[0][0, 0] = 7.0
+    assert povm.effects[0][0, 0] == 0.75
+
+
 @pytest.fixture
 def eig_calls(monkeypatch):
     calls = []
