@@ -279,7 +279,8 @@ def test_gio_from_correlation_rejects_empty_matrix():
 
 
 def test_kraus_channel_is_frozen_with_a_read_only_stack():
-    ops = [np.sqrt(0.75) * np.eye(2, dtype=complex), np.sqrt(0.25) * np.diag([1.0, -1.0]).astype(complex)]
+    ops = [np.sqrt(0.75) * np.eye(2, dtype=complex),
+           np.sqrt(0.25) * np.diag([1.0, -1.0]).astype(complex)]
     ch = channels.kraus_channel(ops)
     for field, value in (("kraus", ()), ("trace_preserving", False), ("unital", False)):
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -348,7 +349,7 @@ def test_vectorized_factoring_matches_the_column_loop(d):
     for ch in cases:
         rotated = channels.kraus_channel([b @ k @ b.conj().T for k in ch.kraus])
         for chan, basis in ((ch, None), (rotated, b)):
-            ks = np.array([b.conj().T @ k @ b for k in chan.kraus]) if basis is not None else chan.kraus
+            ks = chan.kraus if basis is None else np.array([b.conj().T @ k @ b for k in chan.kraus])
             expect = [_error_or_form(_factor_loop, k) for k in ks]
             for k, want in zip(chan.kraus, expect):
                 got = _error_or_form(channels.factor_kraus, k, basis)
