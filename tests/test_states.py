@@ -199,7 +199,7 @@ def test_povm_is_frozen_with_a_read_only_stack():
     effects = [np.diag([0.75, 0.25]).astype(complex), np.diag([0.25, 0.75]).astype(complex)]
     povm = states.make_povm(effects)
     with pytest.raises(dataclasses.FrozenInstanceError):
-        povm.effects = ()
+        setattr(povm, "effects", ())
     assert povm.effects.shape == (2, 2, 2) and povm.n_outcomes == 2
     for e in (povm.effects[0], states.random_povm(3, 2, seed=1).effects[1]):
         with pytest.raises(ValueError):
