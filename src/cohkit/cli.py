@@ -15,7 +15,11 @@ import sys
 import numpy as np
 
 from . import channels, coherence, dilation, instruments, linalg, serialize, states, verify
-from .errors import CohkitError, NotGIOError, ParseError, ValidationError
+from .errors import BadDimensionError, CohkitError, NotGIOError, ParseError, ValidationError
+
+# largest system x apparatus dimension `dilate` builds: the joint unitary of a
+# d=32 io channel (1024 x 1024, a 44 MB model file) is the biggest accepted
+MAX_JOINT_DIM = 1024
 
 
 def _fmt(x: float) -> str:
@@ -132,6 +136,12 @@ def _round_trip_residual(model, ch) -> float:
 def _cmd_dilate(args) -> int:
     ch = serialize.load(args.channel, expect="channel")
     basis = serialize.load(args.basis, expect="matrix") if args.basis else None
+    # every builder's apparatus has at most max(r, 2) levels for r Kraus operators
+    joint = ch.dim * max(len(ch.kraus), 2)
+    if joint > MAX_JOINT_DIM:
+        raise BadDimensionError(
+            f"joint dimension {joint} exceeds the dilation limit {MAX_JOINT_DIM}"
+        )
     model = dilation.dilate(ch, basis)
     residual = _round_trip_residual(model, ch)
     serialize.save(args.out, model)

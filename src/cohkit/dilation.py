@@ -2,9 +2,10 @@
 
 The joint space is ordered system-first. Every builder records the apparatus
 initial vector and the readout basis, so Kraus operators can be read back as
-<a_n| U |a_0> blocks. Dilations are not unique; the completions here are
-deterministic (Gram-Schmidt over standard-basis candidates in index order),
-so equal inputs give bitwise equal models.
+<a_n| U |a_0> blocks. Dilations are not unique; the isometry builders
+complete V = sum_n K_n (x) |n> with the orthogonal complements from one
+complete QR factorization each, which is deterministic, so equal inputs give
+bitwise equal models.
 """
 
 from __future__ import annotations
@@ -101,38 +102,21 @@ def householder_unitary(source, target) -> np.ndarray:
     return -np.conj(phase) * reflect
 
 
-def gram_schmidt_complete(columns: np.ndarray, cutoff: float = 1e-8) -> np.ndarray:
-    """Extend orthonormal columns to a full basis with standard-basis candidates.
+def _orthogonal_complement(columns: np.ndarray) -> np.ndarray:
+    """Orthonormal columns spanning the complement of k orthonormal columns.
 
-    Candidates are tried in index order; one whose residual after projection
-    falls below cutoff is skipped. Returns only the appended columns.
+    The trailing columns of the complete QR factor, so equal inputs give
+    bitwise equal completions.
     """
-    q = np.asarray(columns, dtype=complex)
-    dim = q.shape[0]
-    added = []
-    for i in range(dim):
-        if q.shape[1] == dim:
-            break
-        cand = np.zeros(dim, dtype=complex)
-        cand[i] = 1.0
-        for _ in range(2):  # one re-orthogonalization pass for stability
-            cand = cand - q @ (q.conj().T @ cand)
-        norm = np.linalg.norm(cand)
-        if norm < cutoff:
-            continue
-        cand = cand / norm
-        q = np.hstack([q, cand[:, None]])
-        added.append(cand)
-    if q.shape[1] != dim:
-        raise NotIsometryError("could not complete the column space to a basis")
-    return np.array(added).T if added else np.zeros((dim, 0), dtype=complex)
+    return np.linalg.qr(columns, mode="complete")[0][:, columns.shape[1]:]
 
 
 def extend_to_unitary(v: np.ndarray, apparatus_init) -> np.ndarray:
-    """Unitary U with U(|psi> (x) |a_0>) = V|psi| for an isometry V.
+    """Unitary U with U(|psi> (x) |a_0>) = V|psi> for an isometry V.
 
-    The remaining columns are filled by Gram-Schmidt completion of both the
-    range of V and the apparatus complement of |a_0>, in index order.
+    U = V (1 (x) <a_0|) + C (1 (x) A)^dag, where C spans the complement of the
+    range of V and A the apparatus complement of |a_0>, each the trailing
+    columns of one complete QR factorization.
     """
     v = np.asarray(v, dtype=complex)
     if v.ndim != 2:
@@ -149,13 +133,8 @@ def extend_to_unitary(v: np.ndarray, apparatus_init) -> np.ndarray:
     if linalg.orthonormality_defect(v) > linalg.DEFAULT_TOL:
         raise NotIsometryError("V is not an isometry within tolerance")
     eye_s = np.eye(d_s, dtype=complex)
-    u = v @ np.kron(eye_s, init[:, None]).conj().T
-    anc_complement = gram_schmidt_complete(init[:, None])
-    range_complement = gram_schmidt_complete(v)
-    if anc_complement.shape[1]:
-        domain = np.kron(eye_s, anc_complement)
-        u = u + range_complement @ domain.conj().T
-    return u
+    domain = np.kron(eye_s, _orthogonal_complement(init[:, None]))
+    return v @ np.kron(eye_s, init[:, None]).conj().T + _orthogonal_complement(v) @ domain.conj().T
 
 
 def _stacked_isometry(ops) -> np.ndarray:

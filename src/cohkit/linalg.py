@@ -20,7 +20,9 @@ from .errors import (
     LengthMismatchError,
     NoConvergenceError,
     NotHermitianError,
+    NotPositiveError,
     ShapeMismatchError,
+    TraceNotOneError,
 )
 
 DEFAULT_TOL = 1e-8
@@ -144,19 +146,30 @@ def hs_norm(m) -> float:
     return float(np.linalg.norm(as_matrix(m)))
 
 
-def _clamped_density_eigs(m, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    # Shared validation path: Hermitian (hermitian_eig's check), unit trace, PSD.
+def _density_spectrum(m, tol: float) -> tuple[np.ndarray, Spectrum]:
+    """The one density check: Hermitian, then unit trace, then PSD.
+
+    Returns the coerced matrix and its spectrum. Raises NotHermitianError
+    (from hermitian_eig), TraceNotOneError or NotPositiveError.
+    """
     a = as_square(m)
-    try:
-        spec = hermitian_eig(a, tol=tol)
-    except NotHermitianError:
-        raise InvalidStateError(f"state is not Hermitian within {tol}") from None
+    spec = hermitian_eig(a, tol=tol)
     tr = complex(np.trace(a))
     if abs(tr - 1.0) > tol:
-        raise InvalidStateError(f"state trace {tr} is not 1 within {tol}")
-    w = spec.eigenvalues.copy()
+        raise TraceNotOneError(f"trace {tr} is not 1 within {tol}")
+    w = spec.eigenvalues
     if w.min(initial=0.0) < -tol:
-        raise InvalidStateError(f"state has eigenvalue {w.min()} below -{tol}")
+        raise NotPositiveError(f"eigenvalue {w.min()} below -{tol}")
+    return a, spec
+
+
+def _clamped_density_eigs(m, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    # the density check with InvalidStateError, then eigenvalues clamped at 0
+    try:
+        _, spec = _density_spectrum(m, tol)
+    except (NotHermitianError, TraceNotOneError, NotPositiveError) as exc:
+        raise InvalidStateError(f"state: {exc}") from None
+    w = spec.eigenvalues.copy()
     w[np.abs(w) <= EIG_CLAMP] = 0.0
     w[w < 0.0] = 0.0
     return w, spec.eigenvectors

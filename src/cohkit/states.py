@@ -29,7 +29,6 @@ from .errors import (
     NotHermitianError,
     NotPositiveError,
     ShapeMismatchError,
-    TraceNotOneError,
     VectorOutsideEigenspaceError,
 )
 
@@ -61,15 +60,7 @@ class DensityMatrix:
 
 def validate_density(m, tol: float = linalg.DEFAULT_TOL) -> DensityMatrix:
     """Check Hermiticity, unit trace and positivity, and wrap the matrix."""
-    a = linalg.as_square(m)
-    if linalg.hermiticity_defect(a) > tol:
-        raise NotHermitianError(f"density matrix is not Hermitian within {tol}")
-    tr = complex(np.trace(a))
-    if abs(tr - 1.0) > tol:
-        raise TraceNotOneError(f"trace {tr} differs from 1 by more than {tol}")
-    w = linalg.hermitian_eig(a, tol=tol).eigenvalues
-    if w.min(initial=0.0) < -tol:
-        raise NotPositiveError(f"eigenvalue {w.min()} below -{tol}")
+    a, _ = linalg._density_spectrum(m, tol)
     return DensityMatrix(matrix=a)
 
 
@@ -354,9 +345,10 @@ def make_povm(effects, tol: float = linalg.DEFAULT_TOL) -> Povm:
     for n, e in enumerate(ops):
         if e.shape != (d, d):
             raise DimMismatchError("effect dimensions differ")
-        if linalg.hermiticity_defect(e) > tol:
-            raise NotHermitianError(f"effect {n} is not Hermitian within {tol}")
-        w = linalg.hermitian_eig(e, tol=tol).eigenvalues
+        try:
+            w = linalg.hermitian_eig(e, tol=tol).eigenvalues
+        except NotHermitianError:
+            raise NotHermitianError(f"effect {n} is not Hermitian within {tol}") from None
         if w.min(initial=0.0) < -tol:
             raise NotPositiveError(f"effect {n} has eigenvalue {w.min()} below -{tol}")
     if np.max(np.abs(sum(ops) - np.eye(d))) > tol:

@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -194,6 +195,18 @@ def test_dilate_round_trip_at_cli_scale(tmp_path):
     code, text, _ = run_cli("dilate", str(chan), "--out", str(tmp_path / "model.json"), "--json")
     assert code == 0
     assert json.loads(text)["round_trip_residual"] <= 1e-10
+
+
+def test_dilate_rejects_joint_dimension_above_the_bound(tmp_path):
+    chan = tmp_path / "chan.json"
+    serialize.save(chan, channels.random_gio(2, 513, seed=1))
+    out = tmp_path / "model.json"
+    start = time.perf_counter()
+    code, text, err = run_cli("dilate", str(chan), "--out", str(out))
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and text == ""
+    assert "joint dimension 1026 exceeds the dilation limit 1024" in err
+    assert not out.exists()
 
 
 def test_verify_json_report():

@@ -152,13 +152,33 @@ def test_householder_sends_source_to_target():
     assert np.max(np.abs(h @ e0 + e0)) < 1e-12
 
 
-def test_gram_schmidt_completion():
+def test_orthogonal_complement_completes_the_basis():
     rng = np.random.default_rng(8)
     q = states.random_unitary(5, seed=rng)[:, :2]
-    added = dilation.gram_schmidt_complete(q)
+    added = dilation._orthogonal_complement(q)
     assert added.shape == (5, 3)
     full = np.hstack([q, added])
     assert np.max(np.abs(full.conj().T @ full - np.eye(5))) < 1e-10
+
+
+def test_extend_to_unitary_with_a_non_basis_init():
+    rng = np.random.default_rng(9)
+    g = rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2))
+    v, _ = np.linalg.qr(g)
+    init = states.random_pure(3, seed=rng)
+    assert np.count_nonzero(np.abs(init) > 1e-3) == 3
+    u = dilation.extend_to_unitary(v, init)
+    assert np.max(np.abs(u.conj().T @ u - np.eye(6))) < 1e-12
+    for psi in (np.array([1.0, 0.0]), np.array([0.0, 1.0]), states.random_pure(2, seed=rng)):
+        assert np.max(np.abs(u @ np.kron(psi, init) - v @ psi)) < 1e-12
+
+
+def test_io_dilation_at_d24_is_exact_and_deterministic():
+    ch = channels.random_io(24, seed=24)
+    model = dilation.dilate(ch)
+    assert model.ancilla_dim == 24
+    assert cli._round_trip_residual(model, ch) == 0.0
+    assert np.array_equal(dilation.dilate(ch).joint_unitary, model.joint_unitary)
 
 
 def test_model_validation_guards():

@@ -248,3 +248,39 @@ def test_block_basis_rank_mismatch_raises_on_every_call(eig_calls):
         with pytest.raises(VectorOutsideEigenspaceError):
             obs.block_basis(0)
     assert len(eig_calls) == 3
+
+
+@pytest.fixture
+def coercions(monkeypatch):
+    calls = []
+    coerce = linalg.as_matrix
+
+    def counted(m):
+        calls.append(1)
+        return coerce(m)
+
+    monkeypatch.setattr(linalg, "as_matrix", counted)
+    return calls
+
+
+def test_density_and_povm_checks_coerce_each_matrix_twice(coercions):
+    effects = list(states.random_povm(3, 3, seed=2).effects)
+    rho = states.random_density(3, seed=2).matrix
+    coercions.clear()
+    states.make_povm(effects)
+    assert len(coercions) == 6
+    coercions.clear()
+    states.validate_density(rho)
+    assert len(coercions) == 2
+
+
+def test_povm_checks_keep_their_order():
+    good = np.eye(2) / 3.0
+    skew = good + np.array([[0.0, 0.1], [0.0, 0.0]])
+    negative = np.diag([0.5, -0.2])
+    with pytest.raises(NotHermitianError, match="effect 1"):
+        states.make_povm([good, skew, negative])
+    with pytest.raises(NotPositiveError, match="effect 1"):
+        states.make_povm([good, negative, skew])
+    with pytest.raises(DimMismatchError):
+        states.make_povm([good, np.eye(3), skew])
