@@ -1,9 +1,11 @@
 """JSON encoding of the objects the command line reads and writes.
 
-Matrices are stored row-major as [re, im] pairs. Structural problems with a
-document (bad JSON, missing keys, wrong entry counts) raise ParseError;
-documents that parse but describe an invalid object (non-positive state,
-non-orthonormal basis) raise the matching ValidationError subclass.
+Matrices are stored row-major as [re, im] pairs. Files keep the layout of
+json.dumps(to_json(obj), indent=2) byte for byte; one writer formats the
+entry arrays directly, and save writes them a block at a time. Structural
+problems with a document (bad JSON, missing keys, wrong entry counts) raise
+ParseError; documents that parse but describe an invalid object (non-positive
+state, non-orthonormal basis) raise the matching ValidationError subclass.
 """
 
 from __future__ import annotations
@@ -29,15 +31,36 @@ from .states import (
 )
 
 
-def matrix_to_json(m) -> dict:
+# Entries per block that save writes: a block is about 60 kB of text, so a
+# d = 64 matrix (4096 entries) is written in four pieces.
+_BLOCK = 1024
+# json spells these floats NaN, Infinity and -Infinity; float.__repr__ does not
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _matrix_doc(m) -> dict:
+    """A matrix object with its entries left as a C-ordered complex array."""
     a = np.asarray(m, dtype=complex)
     if a.ndim == 1:
         a = a[:, None]
     if a.ndim != 2:
         raise ParseError("only vectors and matrices can be serialized")
-    rows, cols = a.shape
-    entries = [[float(z.real), float(z.imag)] for z in a.reshape(-1)]
-    return {"type": "matrix", "dim": [rows, cols], "entries": entries}
+    return {"type": "matrix", "dim": list(a.shape), "entries": np.ascontiguousarray(a)}
+
+
+def _plain(doc):
+    """Turn every entry array of a document into its list of [re, im] pairs."""
+    if isinstance(doc, dict):
+        return {key: _plain(value) for key, value in doc.items()}
+    if isinstance(doc, list):
+        return [_plain(value) for value in doc]
+    if isinstance(doc, np.ndarray):
+        return doc.view(float).reshape(-1, 2).tolist()
+    return doc
+
+
+def matrix_to_json(m) -> dict:
+    return _plain(_matrix_doc(m))
 
 
 def matrix_from_json(obj) -> np.ndarray:
@@ -52,6 +75,15 @@ def matrix_from_json(obj) -> np.ndarray:
         raise ParseError("matrix dimensions must be positive")
     if not isinstance(entries, list) or len(entries) != rows * cols:
         raise ParseError("matrix entry count does not match its dimensions")
+    try:
+        values = np.asarray(entries, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        values = None
+    # numpy reads None as NaN and accepts tuples, so anything short of finite
+    # [re, im] lists goes through the loop below, which names the bad index
+    if (values is not None and values.shape == (rows * cols, 2)
+            and np.isfinite(values).all() and all(map(list.__instancecheck__, entries))):
+        return values.view(complex).reshape(rows, cols)  # keeps the sign of -0.0
     flat = np.empty(rows * cols, dtype=complex)
     for i, pair in enumerate(entries):
         if not isinstance(pair, list) or len(pair) != 2:
@@ -69,52 +101,113 @@ def _require(obj: dict, key: str):
     return obj[key]
 
 
-def to_json(obj) -> dict:
-    """Encode a library object (or bare array) as a JSON-ready dict."""
+def _document(obj) -> dict:
+    """The document of a library object (or bare array), entries as arrays."""
     if isinstance(obj, DensityMatrix):
-        return {"type": "state", "dim": obj.dim, "matrix": matrix_to_json(obj.matrix)}
+        return {"type": "state", "dim": obj.dim, "matrix": _matrix_doc(obj.matrix)}
     if isinstance(obj, Observable):
         return {
             "type": "observable",
             "dim": obj.dim,
             "eigenvalues": [float(v) for v in obj.eigenvalues],
-            "projectors": [matrix_to_json(p) for p in obj.projectors],
+            "projectors": [_matrix_doc(p) for p in obj.projectors],
         }
     if isinstance(obj, FineGraining):
         return {
             "type": "fine_graining",
-            "blocks": [matrix_to_json(b) for b in obj.blocks],
+            "blocks": [_matrix_doc(b) for b in obj.blocks],
         }
     if isinstance(obj, KrausChannel):
         return {
             "type": "channel",
             "dim": obj.dim,
-            "kraus": [matrix_to_json(k) for k in obj.kraus],
+            "kraus": [_matrix_doc(k) for k in obj.kraus],
         }
     if isinstance(obj, Povm):
         return {
             "type": "povm",
             "dim": obj.dim,
-            "effects": [matrix_to_json(e) for e in obj.effects],
+            "effects": [_matrix_doc(e) for e in obj.effects],
         }
     if isinstance(obj, BipartiteState):
         return {
             "type": "bipartite",
             "dims": [obj.dim_a, obj.dim_b],
-            "matrix": matrix_to_json(obj.state.matrix),
+            "matrix": _matrix_doc(obj.state.matrix),
         }
     if isinstance(obj, DilationModel):
         return {
             "type": "dilation",
             "system_dim": obj.system_dim,
             "ancilla_dim": obj.ancilla_dim,
-            "apparatus_init": matrix_to_json(obj.apparatus_init),
-            "joint_unitary": matrix_to_json(obj.joint_unitary),
-            "readout_basis": matrix_to_json(obj.readout_basis),
+            "apparatus_init": _matrix_doc(obj.apparatus_init),
+            "joint_unitary": _matrix_doc(obj.joint_unitary),
+            "readout_basis": _matrix_doc(obj.readout_basis),
         }
     if isinstance(obj, np.ndarray):
-        return matrix_to_json(obj)
+        return _matrix_doc(obj)
     raise ParseError(f"cannot serialize object of type {type(obj).__name__}")
+
+
+def to_json(obj) -> dict:
+    """Encode a library object (or bare array) as a JSON-ready dict."""
+    return _plain(_document(obj))
+
+
+def _entries(a: np.ndarray, indent: str):
+    """Yield the text of an entry list, _BLOCK entries per piece."""
+    if not a.size:
+        yield "[]"
+        return
+    pair, number = indent + "  ", indent + "    "
+    within = f",\n{number}"  # between re and im
+    between = f"\n{pair}],\n{pair}[\n{number}"  # between two pairs
+    values = a.reshape(-1).view(float)
+    yield f"[\n{pair}[\n{number}"
+    for start in range(0, values.size, 2 * _BLOCK):
+        block = values[start:start + 2 * _BLOCK]
+        text = list(map(float.__repr__, block.tolist()))
+        if not np.isfinite(block).all():
+            text = [_NON_FINITE.get(t, t) for t in text]
+        if start:
+            yield between
+        numbers = iter(text)
+        yield between.join(map(within.join, zip(numbers, numbers)))
+    yield f"\n{pair}]\n{indent}]"
+
+
+def _chunks(doc, indent: str = ""):
+    """Yield the text of json.dumps(_plain(doc), indent=2), piece by piece."""
+    inner = indent + "  "
+    if isinstance(doc, dict):
+        if not doc:
+            yield "{}"
+            return
+        sep = "{\n"
+        for key, value in doc.items():
+            yield f"{sep}{inner}{json.encoder.encode_basestring_ascii(key)}: "
+            yield from _chunks(value, inner)
+            sep = ",\n"
+        yield f"\n{indent}}}"
+    elif isinstance(doc, list):
+        if not doc:
+            yield "[]"
+            return
+        sep = "[\n"
+        for value in doc:
+            yield sep + inner
+            yield from _chunks(value, inner)
+            sep = ",\n"
+        yield f"\n{indent}]"
+    elif isinstance(doc, np.ndarray):
+        yield from _entries(doc, indent)
+    elif isinstance(doc, str):
+        yield json.encoder.encode_basestring_ascii(doc)
+    elif isinstance(doc, float):
+        text = float.__repr__(doc)
+        yield _NON_FINITE.get(text, text)
+    else:
+        yield int.__repr__(doc)
 
 
 def from_json(obj, expect: str | None = None):
@@ -188,7 +281,8 @@ def from_json(obj, expect: str | None = None):
 
 
 def dumps(obj) -> str:
-    return json.dumps(to_json(obj), indent=2)
+    """The document of obj in the layout of json.dumps(to_json(obj), indent=2)."""
+    return "".join(_chunks(_document(obj)))
 
 
 def loads(text: str, expect: str | None = None):
@@ -200,9 +294,19 @@ def loads(text: str, expect: str | None = None):
 
 
 def save(path, obj) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(obj))
-        fh.write("\n")
+    """Write dumps(obj) and a newline to path, one block of entries at a time.
+
+    Every check runs before the file is opened, so a bad object leaves an
+    existing file as it was.
+    """
+    doc = _document(obj)
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            for chunk in _chunks(doc):
+                fh.write(chunk)
+            fh.write("\n")
+    except OSError as exc:
+        raise ParseError(f"cannot write {path}: {exc}") from exc
 
 
 def load(path, expect: str | None = None):

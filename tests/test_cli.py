@@ -295,3 +295,11 @@ def test_oversized_numbers_are_parse_errors(tmp_path, target, edit, literal):
         code, _, err = run_cli("measure", str(files["state"]), str(files["observable"]))
     assert code == 2
     assert err.startswith("parse error:")
+
+
+def test_unwritable_output_path_is_a_parse_error(tmp_path):
+    out = tmp_path / "no" / "such" / "dir" / "x.json"
+    code, text, err = run_cli("gen", "state", "--dim", "2", "--out", str(out))
+    assert code == 2
+    assert text == ""
+    assert err.startswith(f"parse error: cannot write {out}")

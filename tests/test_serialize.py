@@ -107,7 +107,124 @@ def test_save_and_load(tmp_path):
     path = tmp_path / "state.json"
     rho = states.random_density(4, seed=9)
     serialize.save(path, rho)
+    assert path.read_text(encoding="utf-8") == serialize.dumps(rho) + "\n"
     back = serialize.load(path, expect="state")
     assert np.array_equal(back.matrix, rho.matrix)
     with pytest.raises(ParseError):
         serialize.load(tmp_path / "missing.json")
+    with pytest.raises(ParseError, match="cannot write"):
+        serialize.save(tmp_path / "missing" / "state.json", rho)
+
+
+def _oracle(obj) -> str:
+    # the encoder the writer replaces, kept here as the reference
+    return json.dumps(serialize.to_json(obj), indent=2)
+
+
+KINDS = {
+    "state": lambda d: states.random_density(d, seed=10),
+    "observable": lambda d: states.random_observable(d, (d // 2, d // 4, d // 4), seed=11),
+    "fine_graining": lambda d: states.fine_graining(states.random_observable(d, (d // 2, d // 2), seed=12)),
+    "channel": lambda d: channels.random_sio(d, 3, seed=13),
+    "povm": lambda d: states.random_povm(d, 3, seed=14),
+    "bipartite": lambda d: states.random_bipartite(2, d // 2, seed=15),
+    "dilation": lambda d: dilation.dilate(channels.random_io(d // 2, seed=16)),
+    "matrix": lambda d: states.random_unitary(d, seed=17),
+    "vector": lambda d: states.random_pure(d, seed=18),
+}
+
+
+@pytest.mark.parametrize("d", [4, 16])
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_dumps_is_byte_identical_to_the_stdlib_encoder(kind, d):
+    obj = KINDS[kind](d)
+    assert serialize.dumps(obj) == _oracle(obj)
+
+
+def test_dumps_of_the_d64_io_channel_is_byte_identical():
+    ch = channels.random_io(64, seed=19)
+    assert serialize.dumps(ch) == _oracle(ch)
+
+
+def test_non_finite_and_extreme_entries_are_encoded_like_json():
+    values = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1.7976931348623157e308,
+                       -np.nan, 0.0, -5e-324, -1.7976931348623157e308, 1.0, -np.inf])
+    a = values.view(complex).reshape(3, 2)
+    text = serialize.dumps(a)
+    assert text == _oracle(a)
+    assert "NaN" in text and "-Infinity" in text and "-0.0" in text and "5e-324" in text
+
+
+def test_save_writes_at_most_one_block_of_entries_at_a_time(tmp_path, monkeypatch):
+    class Spy:
+        def __init__(self, fh):
+            self.fh, self.writes = fh, []
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return self.fh.__exit__(*exc)
+
+        def write(self, text):
+            self.writes.append(text)
+            return self.fh.write(text)
+
+    spies = []
+
+    def spy_open(*args, **kwargs):
+        spies.append(Spy(open(*args, **kwargs)))
+        return spies[-1]
+
+    monkeypatch.setattr(serialize, "open", spy_open, raising=False)
+    ch = channels.random_sio(48, 3, seed=21)  # 2304 entries per Kraus operator
+    path = tmp_path / "ch.json"
+    serialize.save(path, ch)
+    (spy,) = spies
+    assert "".join(spy.writes) == serialize.dumps(ch) + "\n"
+    # an entry is two floats of at most 24 characters plus separators and
+    # indentation, under 100 characters; a whole Kraus operator is about 190k
+    assert max(map(len, spy.writes)) <= serialize._BLOCK * 100
+    assert 48 * 48 > serialize._BLOCK
+
+
+def test_failed_save_keeps_the_existing_file(tmp_path):
+    path = tmp_path / "state.json"
+    serialize.save(path, states.random_density(2, seed=22))
+    before = path.read_bytes()
+    with pytest.raises(ParseError, match="only vectors and matrices"):
+        serialize.save(path, np.zeros((2, 2, 2)))
+    with pytest.raises(ParseError, match="cannot serialize"):
+        serialize.save(path, object())
+    assert path.read_bytes() == before
+
+
+def _entries_with(bad, k=2, n=4):
+    entries = [[0.25, -0.0] for _ in range(n)]
+    entries[k] = bad
+    return {"type": "matrix", "dim": [2, 2], "entries": entries}
+
+
+@pytest.mark.parametrize("bad, message", [
+    ([None, 0.0], "non-numeric matrix entry at index 2"),
+    ([0.0, None], "non-numeric matrix entry at index 2"),
+    (["abc", 0.0], "non-numeric matrix entry at index 2"),
+    ([[1.0], 0.0], "non-numeric matrix entry at index 2"),
+    ([1.0, 0.0, 0.0], r"matrix entries must be \[re, im\] pairs"),
+    ([10**400, 0.0], "non-numeric matrix entry at index 2"),
+    ((1.0, 0.0), r"matrix entries must be \[re, im\] pairs"),
+], ids=["none", "none-imag", "string", "nested", "triple", "huge-int", "tuple"])
+def test_bad_entries_name_their_index(bad, message):
+    with pytest.raises(ParseError, match=message):
+        serialize.matrix_from_json(_entries_with(bad))
+
+
+def test_entry_reader_keeps_signed_zeros_and_non_finite_values():
+    a = np.array([-0.0, 0.0, np.nan, -np.inf, 1.5, -0.0, np.inf, 2.5]).view(complex).reshape(2, 2)
+    back = serialize.loads(serialize.dumps(a), expect="matrix")
+    assert back.tobytes() == a.tobytes()
+    rng = np.random.default_rng(24)
+    m = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
+    m[0, 0] = complex(-0.0, -0.0)
+    back = serialize.matrix_from_json(serialize.matrix_to_json(m))
+    assert back.tobytes() == m.tobytes()
