@@ -20,6 +20,9 @@ from .errors import BadDimensionError, CohkitError, NotGIOError, ParseError, Val
 # largest system x apparatus dimension `dilate` builds: the joint unitary of a
 # d=32 io channel (1024 x 1024, a 44 MB model file) is the biggest accepted
 MAX_JOINT_DIM = 1024
+# largest trajectory `evolve` keeps, counted in entries of its (steps + 1)
+# d x d states: 256 MiB of complex entries, or 4095 steps at d=64
+MAX_PATH_ENTRIES = 2**24
 
 
 def _fmt(x: float) -> str:
@@ -167,6 +170,12 @@ def _cmd_evolve(args) -> int:
         raise NotGIOError("Kraus operators are not all diagonal in this basis")
     if args.steps < 0:
         raise ValidationError("--steps must be nonnegative")
+    entries = (args.steps + 1) * ch.dim**2
+    if entries > MAX_PATH_ENTRIES:
+        raise BadDimensionError(
+            f"{args.steps} steps at dimension {ch.dim} keep {entries} entries,"
+            f" above the evolve limit {MAX_PATH_ENTRIES}"
+        )
     path = channels.evolve_path(ch, rho, args.steps)
     rows = []
     for step, state in enumerate(path):

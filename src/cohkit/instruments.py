@@ -143,15 +143,37 @@ def unitary_mixing(obs: Observable) -> list[np.ndarray]:
 
 
 def random_block_diagonal(obs: Observable, seed=0) -> DensityMatrix:
-    """Random full-rank state commuting with obs: Dirichlet-weighted random blocks."""
-    from .states import random_density
+    """Random full-rank state commuting with obs: Dirichlet-weighted random blocks.
 
-    rng = as_generator(seed)
-    weights = rng.dirichlet(np.ones(obs.n_outcomes))
-    d = obs.dim
-    out = np.zeros((d, d), dtype=complex)
-    for n in range(obs.n_outcomes):
+    Draw order, per state: the Dirichlet weights over the outcomes, then for
+    each block n (in outcome order) a d_n x d_n real Gaussian matrix and then
+    its imaginary part. Block n is G G^dag / Tr(G G^dag). Drawing ``count``
+    states at once follows the same order state by state, so a stack from
+    ``_random_block_diagonal_stack`` equals ``count`` successive calls on the
+    same generator.
+    """
+    return DensityMatrix(matrix=_random_block_diagonal_stack(obs, 1, as_generator(seed))[0])
+
+
+def _random_block_diagonal_stack(obs: Observable, count: int, rng) -> np.ndarray:
+    # (count, d, d) stack of random_block_diagonal states. Per state the
+    # Gaussians of all blocks are one standard_normal fill, which draws the
+    # same numbers as one fill per block; the arithmetic runs on the stack.
+    alpha = np.ones(obs.n_outcomes)
+    weights = np.empty((count, obs.n_outcomes))
+    gauss = np.empty((count, 2 * sum(k * k for k in obs.degeneracies)))
+    for i in range(count):
+        weights[i] = rng.dirichlet(alpha)
+        rng.standard_normal(out=gauss[i])
+    out = np.zeros((count, obs.dim, obs.dim), dtype=complex)
+    start = 0
+    for n, k in enumerate(obs.degeneracies):
+        re = gauss[:, start:start + k * k].reshape(count, k, k)
+        im = gauss[:, start + k * k:start + 2 * k * k].reshape(count, k, k)
+        start += 2 * k * k
+        g = re + 1j * im
+        gram = g @ g.conj().swapaxes(-1, -2)
+        block = gram / np.trace(gram, axis1=-2, axis2=-1).real[:, None, None]
         b_n = obs.block_basis(n)
-        block = random_density(obs.degeneracies[n], seed=rng).matrix
-        out += weights[n] * (b_n @ block @ b_n.conj().T)
-    return DensityMatrix(matrix=linalg.hermitize(out))
+        out += weights[:, n, None, None] * (b_n @ block @ b_n.conj().T)
+    return linalg.hermitize(out)

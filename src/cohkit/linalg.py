@@ -34,7 +34,7 @@ def as_matrix(m) -> np.ndarray:
     a = np.asarray(getattr(m, "matrix", m), dtype=complex)
     if a.ndim != 2:
         raise ShapeMismatchError(f"expected a 2-D matrix, got ndim={a.ndim}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise BadParameterError("matrix entries must be finite")
     return a
 
@@ -51,12 +51,15 @@ def hermiticity_defect(m) -> float:
 
 
 def _hermiticity_defect(a: np.ndarray) -> float:
-    return float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
+    return float(np.abs(a - a.conj().T).max()) if a.size else 0.0
 
 
 def hermitize(m: np.ndarray) -> np.ndarray:
-    """Hermitian part (M + M^dag) / 2, which removes rounding asymmetry."""
-    return (m + m.conj().T) / 2.0
+    """Hermitian part (M + M^dag) / 2, which removes rounding asymmetry.
+
+    A (count, d, d) stack is hermitized matrix by matrix.
+    """
+    return (m + m.conj().swapaxes(-1, -2)) / 2.0
 
 
 def orthonormality_defect(b: np.ndarray) -> float:
@@ -163,29 +166,33 @@ def _density_spectrum(m, tol: float) -> tuple[np.ndarray, Spectrum]:
     return a, spec
 
 
+def _clamped(w: np.ndarray) -> np.ndarray:
+    # a copy with entries within EIG_CLAMP of zero, and negative ones, set to 0
+    w = w.copy()
+    w[np.abs(w) <= EIG_CLAMP] = 0.0
+    w[w < 0.0] = 0.0
+    return w
+
+
 def _clamped_density_eigs(m, tol: float) -> tuple[np.ndarray, np.ndarray]:
     # the density check with InvalidStateError, then eigenvalues clamped at 0
     try:
         _, spec = _density_spectrum(m, tol)
     except (NotHermitianError, TraceNotOneError, NotPositiveError) as exc:
         raise InvalidStateError(f"state: {exc}") from None
-    w = spec.eigenvalues.copy()
-    w[np.abs(w) <= EIG_CLAMP] = 0.0
-    w[w < 0.0] = 0.0
-    return w, spec.eigenvectors
+    return _clamped(spec.eigenvalues), spec.eigenvectors
 
 
 def shannon_entropy(p, tol: float = DEFAULT_TOL) -> float:
     """Shannon entropy of a probability vector, in bits."""
-    q = np.asarray(p, dtype=float).copy()
+    q = np.asarray(p, dtype=float)
     if q.ndim != 1:
         raise ShapeMismatchError("expected a 1-D probability vector")
     if q.min(initial=0.0) < -tol:
         raise BadParameterError(f"probability {q.min()} below -{tol}")
     if abs(q.sum() - 1.0) > tol:
         raise BadParameterError(f"probabilities sum to {q.sum()}, not 1 within {tol}")
-    q[np.abs(q) <= EIG_CLAMP] = 0.0
-    q[q < 0.0] = 0.0
+    q = _clamped(q)
     pos = q[q > 0.0]
     return float(-np.sum(pos * np.log2(pos)))
 
@@ -197,20 +204,26 @@ def von_neumann_entropy(rho, tol: float = DEFAULT_TOL) -> float:
     return float(-np.sum(pos * np.log2(pos)))
 
 
-def _relative_entropy_core(rho: np.ndarray, sigma: np.ndarray, tol: float) -> float:
+def _relative_entropy_core(
+    rho: np.ndarray, sigma: np.ndarray, tol: float, sigma_eigs=None
+) -> float:
     # S(rho||sigma) with sigma allowed to be sub-normalized (PSD, trace <= 1).
-    # Returns +inf when supp(rho) is not contained in supp(sigma).
+    # Returns +inf when supp(rho) is not contained in supp(sigma). A caller
+    # that has checked sigma passes its clamped eigenvalues and eigenvectors
+    # as sigma_eigs, so sigma is not diagonalized a second time.
     wr, _ = _clamped_density_eigs(rho, tol)
-    spec = hermitian_eig(sigma, tol=tol)
-    ws = spec.eigenvalues.copy()
-    if ws.min(initial=0.0) < -tol:
-        raise InvalidStateError(f"second argument has eigenvalue {ws.min()} below -{tol}")
-    ws[np.abs(ws) <= EIG_CLAMP] = 0.0
-    ws[ws < 0.0] = 0.0
+    if sigma_eigs is None:
+        spec = hermitian_eig(sigma, tol=tol)
+        if spec.eigenvalues.min(initial=0.0) < -tol:
+            raise InvalidStateError(
+                f"second argument has eigenvalue {spec.eigenvalues.min()} below -{tol}"
+            )
+        sigma_eigs = _clamped(spec.eigenvalues), spec.eigenvectors
+    ws, vs = sigma_eigs
     pos = wr[wr > 0.0]
     tr_rho_log_rho = float(np.sum(pos * np.log2(pos)))
     # weights <u_j| rho |u_j> in the eigenbasis of sigma
-    u = np.real(np.einsum("ij,ik,kj->j", spec.eigenvectors.conj(), rho, spec.eigenvectors))
+    u = np.real(np.einsum("ij,ik,kj->j", vs.conj(), rho, vs))
     tr_rho_log_sigma = 0.0
     for weight, ev in zip(u, ws):
         if ev > 0.0:
@@ -225,8 +238,8 @@ def relative_entropy(rho, sigma, tol: float = DEFAULT_TOL) -> float:
     a, b = as_square(rho), as_square(sigma)
     if a.shape != b.shape:
         raise DimMismatchError(f"shapes {a.shape} and {b.shape} differ")
-    _clamped_density_eigs(b, tol)  # second argument must itself be a state here
-    return _relative_entropy_core(a, b, tol)
+    # the second argument must itself be a state here; its check's spectrum is reused
+    return _relative_entropy_core(a, b, tol, _clamped_density_eigs(b, tol))
 
 
 def _sorted_desc(x) -> np.ndarray:

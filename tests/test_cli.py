@@ -139,6 +139,33 @@ def test_evolve_rejects_non_diagonal_channels(tmp_path):
     assert "validation error" in err
 
 
+def test_evolve_rejects_paths_above_the_bound(tmp_path, monkeypatch):
+    chan = tmp_path / "chan.json"
+    state = tmp_path / "state.json"
+    out = tmp_path / "path.csv"
+    serialize.save(chan, channels.phase_damping(0.75))
+    serialize.save(state, states.validate_density(np.full((2, 2), 0.5)))
+
+    def no_path(*args):
+        raise AssertionError("the trajectory was computed")
+
+    # 2**22 + 1 states of 2 x 2 entries lie one state above 2**24 entries
+    with monkeypatch.context() as m:
+        m.setattr(channels, "evolve_path", no_path)
+        code, text, err = run_cli("evolve", str(chan), str(state), "--steps", str(2**22),
+                                  "--out", str(out))
+    assert code == 3 and text == ""
+    assert ("4194304 steps at dimension 2 keep 16777220 entries,"
+            " above the evolve limit 16777216") in err
+    assert not out.exists()
+    # the bound itself is accepted; a small bound keeps the path small
+    monkeypatch.setattr(cli, "MAX_PATH_ENTRIES", 12)
+    code, text, _ = run_cli("evolve", str(chan), str(state), "--steps", "2")
+    assert code == 0 and len(text.strip().split("\n")) == 4
+    code, _, err = run_cli("evolve", str(chan), str(state), "--steps", "3")
+    assert code == 3 and "above the evolve limit 12" in err
+
+
 def test_discord_on_maximally_entangled_pair(tmp_path):
     psi = np.zeros(4, dtype=complex)
     psi[0] = psi[3] = 1.0 / math.sqrt(2.0)

@@ -147,3 +147,30 @@ def test_random_block_diagonal_commutes():
     rho.validate()
     m = obs.matrix()
     assert np.max(np.abs(rho.matrix @ m - m @ rho.matrix)) < 1e-10
+
+
+def _block_diagonal_by_call(obs, rng):
+    # the per-call draw loop that the stacked builder replaced, kept as the oracle
+    weights = rng.dirichlet(np.ones(obs.n_outcomes))
+    d = obs.dim
+    out = np.zeros((d, d), dtype=complex)
+    for n in range(obs.n_outcomes):
+        b_n = obs.block_basis(n)
+        block = states.random_density(obs.degeneracies[n], seed=rng).matrix
+        out += weights[n] * (b_n @ block @ b_n.conj().T)
+    return (out + out.conj().T) / 2.0
+
+
+@pytest.mark.parametrize("profile", [(1, 1, 1), (2, 1), (3, 3, 2), (4,)])
+def test_block_diagonal_stack_draws_like_successive_calls(profile):
+    # a reordered draw changes entries by O(1), far above the tolerance
+    obs = states.random_observable(sum(profile), profile, seed=3)
+    by_call, stacked = np.random.default_rng(7), np.random.default_rng(7)
+    expect = [_block_diagonal_by_call(obs, by_call) for _ in range(25)]
+    got = instruments._random_block_diagonal_stack(obs, 25, stacked)
+    assert got.shape == (25, obs.dim, obs.dim)
+    assert np.allclose(got, expect, rtol=0.0, atol=1e-12)
+    assert by_call.random() == stacked.random()
+    one = instruments.random_block_diagonal(obs, seed=11).matrix
+    assert np.allclose(one, _block_diagonal_by_call(obs, np.random.default_rng(11)),
+                       rtol=0.0, atol=1e-12)

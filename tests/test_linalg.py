@@ -91,6 +91,19 @@ def test_relative_entropy_closed_form_and_support():
     assert not math.isinf(linalg.relative_entropy(pure, sigma))
 
 
+def test_relative_entropy_diagonalizes_each_argument_once(eig_calls):
+    rho = np.diag([0.5, 0.3, 0.2]).astype(complex)
+    sigma = np.full((3, 3), 0.1) + 0.7 / 3 * np.eye(3)
+    assert linalg.relative_entropy(rho, sigma) > 0.0
+    assert len(eig_calls) == 2
+    # the state check on sigma still runs first and keeps its message
+    with pytest.raises(InvalidStateError, match="^state: eigenvalue"):
+        linalg.relative_entropy(rho, np.diag([1.5, -0.25, -0.25]))
+    eig_calls.clear()
+    assert math.isinf(linalg.relative_entropy(rho, np.diag([0.5, 0.5, 0.0])))
+    assert len(eig_calls) == 2
+
+
 def test_relative_entropy_nonnegative_random():
     rng = np.random.default_rng(19)
     for _ in range(20):

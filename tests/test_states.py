@@ -210,19 +210,6 @@ def test_povm_is_frozen_with_a_read_only_stack():
     assert povm.effects[0][0, 0] == 0.75
 
 
-@pytest.fixture
-def eig_calls(monkeypatch):
-    calls = []
-    eig = linalg.hermitian_eig
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return eig(*args, **kwargs)
-
-    monkeypatch.setattr(linalg, "hermitian_eig", counted)
-    return calls
-
-
 def test_block_bases_are_computed_once(eig_calls):
     obs = states.random_observable(6, (3, 2, 1), seed=4)
     assert obs.block_basis(1) is obs.block_basis(1)
