@@ -22,6 +22,7 @@ from .states import (
     FineGraining,
     Observable,
     Povm,
+    _normalized_gram,
     as_generator,
     fine_graining,
 )
@@ -171,9 +172,7 @@ def _random_block_diagonal_stack(obs: Observable, count: int, rng) -> np.ndarray
         re = gauss[:, start:start + k * k].reshape(count, k, k)
         im = gauss[:, start + k * k:start + 2 * k * k].reshape(count, k, k)
         start += 2 * k * k
-        g = re + 1j * im
-        gram = g @ g.conj().swapaxes(-1, -2)
-        block = gram / np.trace(gram, axis1=-2, axis2=-1).real[:, None, None]
+        block = _normalized_gram(re + 1j * im)
         b_n = obs.block_basis(n)
         out += weights[:, n, None, None] * (b_n @ block @ b_n.conj().T)
     return linalg.hermitize(out)

@@ -365,8 +365,13 @@ def random_density(dim: int, rank: int | None = None, seed=0) -> DensityMatrix:
         raise BadParameterError(f"rank must lie in [1, {dim}]")
     rng = as_generator(seed)
     g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
-    m = g @ g.conj().T
-    return DensityMatrix(matrix=m / np.trace(m).real)
+    return DensityMatrix(matrix=_normalized_gram(g))
+
+
+def _normalized_gram(g: np.ndarray) -> np.ndarray:
+    # G G^dag / Tr(G G^dag), matrix by matrix for a (count, dim, rank) stack
+    m = g @ g.conj().swapaxes(-1, -2)
+    return m / np.trace(m, axis1=-2, axis2=-1).real[..., None, None]
 
 
 def random_unitary(dim: int, seed=0) -> np.ndarray:

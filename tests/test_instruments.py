@@ -150,13 +150,16 @@ def test_random_block_diagonal_commutes():
 
 
 def _block_diagonal_by_call(obs, rng):
-    # the per-call draw loop that the stacked builder replaced, kept as the oracle
+    # the per-call draw loop that the stacked builder replaced, with the
+    # random_density arithmetic inlined, kept as the oracle
     weights = rng.dirichlet(np.ones(obs.n_outcomes))
     d = obs.dim
     out = np.zeros((d, d), dtype=complex)
-    for n in range(obs.n_outcomes):
+    for n, k in enumerate(obs.degeneracies):
         b_n = obs.block_basis(n)
-        block = states.random_density(obs.degeneracies[n], seed=rng).matrix
+        g = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+        m = g @ g.conj().T
+        block = m / np.trace(m).real
         out += weights[n] * (b_n @ block @ b_n.conj().T)
     return (out + out.conj().T) / 2.0
 
