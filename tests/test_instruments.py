@@ -150,7 +150,7 @@ def test_random_block_diagonal_commutes():
 
 
 def _block_diagonal_by_call(obs, rng):
-    # the per-call draw loop that the stacked builder replaced, with the
+    # the per-call draw loop that the stacked draws replaced, with the
     # random_density arithmetic inlined, kept as the oracle
     weights = rng.dirichlet(np.ones(obs.n_outcomes))
     d = obs.dim
