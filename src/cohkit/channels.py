@@ -2,9 +2,10 @@
 
 Classification is decomposition-relative: it inspects the Kraus list actually
 supplied, in the declared reference basis (default: the standard basis).
-Entries below 1e-10 in absolute value are treated as zero throughout.
-Channels are immutable: one read-only (r, d, d) stack of Kraus operators,
-factored in one vectorized pass. To change a channel, build a new one.
+Entries below ``linalg.ZERO_TOL`` in absolute value are treated as zero
+throughout. Channels are immutable: one read-only (r, d, d) stack of Kraus
+operators, factored in one vectorized pass. To change a channel, build a new
+one.
 """
 
 from __future__ import annotations
@@ -27,9 +28,6 @@ from .errors import (
     ShapeMismatchError,
 )
 from .states import DensityMatrix, _read_only, as_generator, random_unitary
-
-ZERO_TOL = 1e-10
-RANK_TOL = 1e-12
 
 GIO = "GIO"
 SIO_NOT_GIO = "SIO-not-GIO"
@@ -60,7 +58,7 @@ class KrausChannel:
         return len(self.kraus)
 
 
-def kraus_channel(ops, tol: float = linalg.DEFAULT_TOL) -> KrausChannel:
+def kraus_channel(ops) -> KrausChannel:
     """Wrap a Kraus list, computing the trace-preserving and unital flags.
 
     Non-trace-preserving lists are accepted as quantum operations provided
@@ -77,13 +75,13 @@ def kraus_channel(ops, tol: float = linalg.DEFAULT_TOL) -> KrausChannel:
     ks = np.array(ops)
     ks_dag = ks.conj().transpose(0, 2, 1)
     total = np.sum(ks_dag @ ks, axis=0)
-    tp = bool(np.max(np.abs(total - np.eye(d))) <= tol)
+    tp = bool(np.max(np.abs(total - np.eye(d))) <= linalg.DEFAULT_TOL)
     if not tp:
         w = linalg.hermitian_eig(linalg.hermitize(total)).eigenvalues
-        if w.max(initial=0.0) > 1.0 + tol:
+        if w.max(initial=0.0) > 1.0 + linalg.DEFAULT_TOL:
             raise BadParameterError("sum K^dag K exceeds the identity: not an operation")
     dual = np.sum(ks @ ks_dag, axis=0)
-    unital = bool(np.max(np.abs(dual - np.eye(d))) <= tol)
+    unital = bool(np.max(np.abs(dual - np.eye(d))) <= linalg.DEFAULT_TOL)
     return KrausChannel(kraus=ks, trace_preserving=tp, unital=unital)
 
 
@@ -146,17 +144,17 @@ def _rotated_kraus(ks: np.ndarray, basis) -> np.ndarray:
     return b.conj().T @ ks @ b
 
 
-def _all_diagonal(ks: np.ndarray, zero_tol: float = ZERO_TOL) -> bool:
-    # the one zero test behind GIO: every off-diagonal entry below zero_tol
+def _all_diagonal(ks: np.ndarray) -> bool:
+    # the one zero test behind GIO: every off-diagonal entry below ZERO_TOL
     off = ~np.eye(ks.shape[1], dtype=bool)
-    return bool(np.max(np.abs(ks[:, off]), initial=0.0) < zero_tol)
+    return bool(np.max(np.abs(ks[:, off]), initial=0.0) < linalg.ZERO_TOL)
 
 
-def _factor_stack(ks: np.ndarray, zero_tol: float) -> tuple[np.ndarray, np.ndarray]:
-    # (r, d) arrays f, c: column i of K_n has its one entry >= zero_tol in row
+def _factor_stack(ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # (r, d) arrays f, c: column i of K_n has its one entry >= ZERO_TOL in row
     # f[n, i], value c[n, i] (i and 0 if none); the first (n, i) with more raises
     d = ks.shape[1]
-    large = np.abs(ks) >= zero_tol
+    large = np.abs(ks) >= linalg.ZERO_TOL
     counts = large.sum(axis=1)
     bad = np.argwhere(counts > 1)
     if bad.size:
@@ -169,28 +167,29 @@ def _factor_stack(ks: np.ndarray, zero_tol: float) -> tuple[np.ndarray, np.ndarr
     return f, c
 
 
-def factor_kraus(k, basis=None, zero_tol: float = ZERO_TOL) -> tuple[IndexMap, np.ndarray]:
+def factor_kraus(k, basis=None) -> tuple[IndexMap, np.ndarray]:
     """Split an incoherent-form Kraus operator as K = M(f) . K_diag.
 
-    Each column may carry at most one entry at or above zero_tol; its row
-    index defines f. Columns with no such entry keep their own index, so a
-    diagonal operator always factors through the identity map. The product
-    M(f) @ K_diag reproduces K exactly (up to entries treated as zero).
+    Each column may carry at most one entry at or above ``linalg.ZERO_TOL``;
+    its row index defines f. Columns with no such entry keep their own index,
+    so a diagonal operator always factors through the identity map. The
+    product M(f) @ K_diag reproduces K exactly (up to entries treated as
+    zero).
     """
-    f, c = _factor_stack(_rotated_kraus(linalg.as_square(k)[None], basis), zero_tol)
+    f, c = _factor_stack(_rotated_kraus(linalg.as_square(k)[None], basis))
     return IndexMap(mapping=tuple(f[0].tolist())), np.diag(c[0])
 
 
-def _incoherent_form(ch: KrausChannel, basis=None, zero_tol: float = ZERO_TOL):
+def _incoherent_form(ch: KrausChannel, basis=None):
     # classify's label with the factoring (f, c) it read it from; None for not-IO
     if not ch.trace_preserving:
         raise NotTracePreservingError("classification is defined for channels")
     ks = _rotated_kraus(ch.kraus, basis)
     try:
-        form = _factor_stack(ks, zero_tol)
+        form = _factor_stack(ks)
     except NotIOFormError:
         return NOT_IO, None
-    if _all_diagonal(ks, zero_tol):
+    if _all_diagonal(ks):
         return GIO, form
     # a permutation maps the d columns to d distinct rows
     if np.all(np.diff(np.sort(form[0], axis=1), axis=1) != 0):
@@ -198,44 +197,43 @@ def _incoherent_form(ch: KrausChannel, basis=None, zero_tol: float = ZERO_TOL):
     return IO_NOT_SIO, form
 
 
-def classify(ch: KrausChannel, basis=None, zero_tol: float = ZERO_TOL) -> str:
+def classify(ch: KrausChannel, basis=None) -> str:
     """Strongest incoherence class of the Kraus list in the reference basis.
 
     GIO: every operator diagonal. SIO-not-GIO: every operator a permutation
     times a diagonal, not all diagonal. IO-not-SIO: at most one nonzero per
     column, some index map non-bijective. not-IO: anything else.
     """
-    return _incoherent_form(ch, basis, zero_tol)[0]
+    return _incoherent_form(ch, basis)[0]
 
 
-def _completeness(f: np.ndarray, c: np.ndarray, tol: float) -> bool:
+def _completeness(f: np.ndarray, c: np.ndarray) -> bool:
     # sum over n of conj(c_i^(n)) c_j^(n) [f_n(i) = f_n(j)], against delta_ij
     same = f[:, :, None] == f[:, None, :]
     gram = np.sum(c.conj()[:, :, None] * c[:, None, :] * same, axis=0)
-    return bool(np.max(np.abs(gram - np.eye(f.shape[1]))) <= tol)
+    return bool(np.max(np.abs(gram - np.eye(f.shape[1]))) <= linalg.DEFAULT_TOL)
 
 
-def io_completeness_check(ch: KrausChannel, basis=None, tol: float = linalg.DEFAULT_TOL) -> bool:
+def io_completeness_check(ch: KrausChannel, basis=None) -> bool:
     """Evaluate the incoherent-form completeness constraint.
 
     sum over {n : f_n(i) = f_n(j)} of conj(c_i^(n)) c_j^(n) must equal
     delta_ij; this is algebraically the same as sum K^dag K = 1 restricted to
     incoherent-form lists.
     """
-    return _completeness(*_factor_stack(_rotated_kraus(ch.kraus, basis), ZERO_TOL), tol)
+    return _completeness(*_factor_stack(_rotated_kraus(ch.kraus, basis)))
 
 
-def _correlation_spectrum(c: np.ndarray, tol: float) -> linalg.Spectrum:
+def _correlation_spectrum(c: np.ndarray) -> linalg.Spectrum:
     # the correlation-matrix contract: nonempty, Hermitian, unit diagonal, PSD
     if c.size == 0:
         raise ShapeMismatchError("a correlation matrix must not be empty")
-    if linalg.hermiticity_defect(c) > tol:
+    if linalg.hermiticity_defect(c) > linalg.DEFAULT_TOL:
         raise NotHermitianError("correlation matrix is not Hermitian")
-    if np.max(np.abs(np.diag(c) - 1.0)) > tol:
+    if np.max(np.abs(np.diag(c) - 1.0)) > linalg.DEFAULT_TOL:
         raise DiagonalNotOneError("correlation matrix diagonal is not 1")
-    spec = linalg.hermitian_eig(c, tol=tol)
-    if spec.eigenvalues.min(initial=0.0) < -tol:
-        raise NotPSDError(f"correlation matrix eigenvalue {spec.eigenvalues.min()} below -{tol}")
+    spec = linalg.hermitian_eig(c)
+    linalg._require_psd(spec.eigenvalues, NotPSDError, "correlation matrix ")
     return spec
 
 
@@ -254,15 +252,15 @@ class CorrelationMatrix:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def validate(self, tol: float = linalg.DEFAULT_TOL) -> "CorrelationMatrix":
+    def validate(self) -> "CorrelationMatrix":
         c = linalg.as_square(self.matrix)
-        _correlation_spectrum(c, tol)
-        if np.max(np.abs(self.vectors.conj().T @ self.vectors - c)) > tol:
+        _correlation_spectrum(c)
+        if np.max(np.abs(self.vectors.conj().T @ self.vectors - c)) > linalg.DEFAULT_TOL:
             raise BadParameterError("vectors are not a Gram factorization of the matrix")
         return self
 
 
-def correlation_matrix_of(ch: KrausChannel, basis=None, tol: float = linalg.DEFAULT_TOL) -> CorrelationMatrix:
+def correlation_matrix_of(ch: KrausChannel, basis=None) -> CorrelationMatrix:
     """Read the dynamical vectors off a diagonal Kraus list."""
     if not ch.trace_preserving:
         raise NotTracePreservingError("correlation matrices describe channels")
@@ -271,20 +269,21 @@ def correlation_matrix_of(ch: KrausChannel, basis=None, tol: float = linalg.DEFA
         raise NotGIOError("Kraus operators are not all diagonal in this basis")
     vectors = np.diagonal(ks, axis1=1, axis2=2).copy()  # shape (r, d)
     c = vectors.conj().T @ vectors
-    if np.max(np.abs(np.diag(c) - 1.0)) > tol:
+    if np.max(np.abs(np.diag(c) - 1.0)) > linalg.DEFAULT_TOL:
         raise DiagonalNotOneError("dynamical vectors are not normalized")
     return CorrelationMatrix(matrix=c, vectors=vectors)
 
 
-def gio_from_correlation(c, tol: float = linalg.DEFAULT_TOL) -> KrausChannel:
+def gio_from_correlation(c) -> KrausChannel:
     """Diagonal Kraus channel realizing a given correlation matrix.
 
-    The Gram factor keeps only eigenvalue components above 1e-12, so the
-    number of Kraus operators equals the matrix rank.
+    The Gram factor keeps only eigenvalue components above
+    ``linalg.RANK_TOL``, so the number of Kraus operators equals the matrix
+    rank.
     """
     mat = c.matrix if isinstance(c, CorrelationMatrix) else linalg.as_square(c)
-    spec = _correlation_spectrum(mat, tol)
-    keep = spec.eigenvalues > RANK_TOL
+    spec = _correlation_spectrum(mat)
+    keep = spec.eigenvalues > linalg.RANK_TOL
     vectors = (np.sqrt(spec.eigenvalues[keep])[:, None]) * spec.eigenvectors[:, keep].conj().T
     return kraus_channel([np.diag(row) for row in vectors])
 
@@ -298,12 +297,13 @@ def channel_superoperator(ch: KrausChannel) -> np.ndarray:
     return s
 
 
-def commutant(ch: KrausChannel, cutoff: float = 1e-9) -> list[np.ndarray]:
+def commutant(ch: KrausChannel) -> list[np.ndarray]:
     """Hilbert-Schmidt-orthonormal basis of {X : [X, K_i] = [X, K_i^dag] = 0}.
 
     The commutator constraints are linear in X, so the basis is the SVD
-    nullspace (singular values at or below cutoff) of the stacked constraint
-    matrix. For a unital channel this algebra is exactly the fixed-point set.
+    nullspace (singular values at or below ``linalg.NULL_TOL``) of the
+    stacked constraint matrix. For a unital channel this algebra is exactly
+    the fixed-point set.
     """
     if not ch.unital:
         raise NotUnitalError("the commutant equals the fixed points only for unital channels")
@@ -312,7 +312,7 @@ def commutant(ch: KrausChannel, cutoff: float = 1e-9) -> list[np.ndarray]:
     a = np.vstack([np.kron(eye, m.T) - np.kron(m, eye)
                    for k in ch.kraus for m in (k, k.conj().T)])
     _, s, vh = np.linalg.svd(a, full_matrices=False)
-    rank = int(np.sum(s > cutoff))
+    rank = int(np.sum(s > linalg.NULL_TOL))
     return [vh[i].conj().reshape(d, d) for i in range(rank, d * d)]
 
 
@@ -376,7 +376,7 @@ def iterate_channel(ch: KrausChannel, rho, n: int) -> DensityMatrix:
 
 def random_gio(dim: int, n_kraus: int, seed=0) -> KrausChannel:
     """Channel of diagonal Kraus operators from random unit dynamical vectors."""
-    rng = as_generator(seed)
+    rng = as_generator(seed, dim=dim, n_kraus=n_kraus)
     v = rng.standard_normal((n_kraus, dim)) + 1j * rng.standard_normal((n_kraus, dim))
     v /= np.linalg.norm(v, axis=0, keepdims=True)
     return kraus_channel([np.diag(row) for row in v])
@@ -384,14 +384,14 @@ def random_gio(dim: int, n_kraus: int, seed=0) -> KrausChannel:
 
 def random_mixed_unitary(dim: int, n_unitaries: int, seed=0) -> KrausChannel:
     """Random convex mixture of unitaries; always unital and trace preserving."""
-    rng = as_generator(seed)
+    rng = as_generator(seed, dim=dim, n_unitaries=n_unitaries)
     weights = rng.dirichlet(np.ones(n_unitaries))
     return kraus_channel([np.sqrt(w) * random_unitary(dim, rng) for w in weights])
 
 
 def random_sio(dim: int, n_kraus: int, seed=0) -> KrausChannel:
     """Random channel of permutation-times-diagonal Kraus operators."""
-    rng = as_generator(seed)
+    rng = as_generator(seed, dim=dim, n_kraus=n_kraus)
     coeffs = rng.standard_normal((n_kraus, dim)) + 1j * rng.standard_normal((n_kraus, dim))
     coeffs /= np.linalg.norm(coeffs, axis=0, keepdims=True)
     perms = [rng.permutation(dim) for _ in range(n_kraus)]
@@ -402,7 +402,7 @@ def random_sio(dim: int, n_kraus: int, seed=0) -> KrausChannel:
 
 def random_io(dim: int, seed=0) -> KrausChannel:
     """Random measure-and-prepare channel K_n = |b_n><w_n| with orthonormal w."""
-    rng = as_generator(seed)
+    rng = as_generator(seed, dim=dim)
     w = random_unitary(dim, rng)
     prep = rng.integers(0, dim, size=dim)
     ks = np.zeros((dim, dim, dim), dtype=complex)

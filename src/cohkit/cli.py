@@ -90,7 +90,7 @@ def _cmd_classify(args) -> int:
         f, c = form
         maps = [channels.IndexMap(mapping=tuple(row)) for row in f.tolist()]
         factors = list(zip(maps, c))
-        complete = channels._completeness(f, c, linalg.DEFAULT_TOL)
+        complete = channels._completeness(f, c)
     corr = channels.correlation_matrix_of(ch, basis) if label == channels.GIO else None
     if args.json:
         doc = {"class": label}

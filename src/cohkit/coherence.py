@@ -14,8 +14,6 @@ from .errors import DimMismatchError, IncompatibleFineGrainingError
 from .instruments import luders
 from .states import BipartiteState, DensityMatrix, FineGraining, Observable, Povm, fine_graining
 
-P_SKIP = 1e-12
-
 
 def c_l1(rho, basis) -> float:
     """Sum of off-diagonal absolute values in the given orthonormal basis."""
@@ -123,7 +121,8 @@ def classical_correlation(state: BipartiteState, obs: Observable) -> float:
     """Correlation surviving the B reading.
 
     sum_n p_n S(rho_A|n || rho_A) + sum_n p_n I(rho_AB|n) over the normalized
-    conditional states; outcomes with p_n below 1e-12 are skipped.
+    conditional states; outcomes with p_n below ``linalg.PROB_FLOOR`` are
+    skipped.
     """
     _check_b_observable(state, obs)
     rho = state.state.matrix
@@ -134,7 +133,7 @@ def classical_correlation(state: BipartiteState, obs: Observable) -> float:
         proj = linalg.tensor(eye_a, p)
         cond = proj @ rho @ proj
         p_n = float(np.real(np.trace(cond)))
-        if p_n < P_SKIP:
+        if p_n < linalg.PROB_FLOOR:
             continue
         cond = linalg.hermitize(cond) / p_n
         cond_a = linalg.partial_trace(cond, state.dims, keep=0)
@@ -151,7 +150,7 @@ def povm_coherence(rho, povm: Povm) -> float:
     if povm.dim != r.shape[0]:
         raise DimMismatchError("state and POVM dimensions differ")
     sigma = linalg.hermitize(sum(e @ r @ e for e in povm.effects))
-    return linalg._relative_entropy_core(r, sigma, linalg.DEFAULT_TOL)
+    return linalg._relative_entropy_core(r, sigma)
 
 
 def povm_coherence_modified(rho, povm: Povm) -> float:

@@ -45,24 +45,24 @@ class DilationModel:
     joint_unitary: np.ndarray       # (system_dim*ancilla_dim) squared
     readout_basis: np.ndarray       # ancilla_dim x n_outcomes orthonormal columns
 
-    def validate(self, tol: float = linalg.DEFAULT_TOL) -> "DilationModel":
+    def validate(self) -> "DilationModel":
         d_s, d_a = self.system_dim, self.ancilla_dim
         if d_s < 1 or d_a < 1:
             raise BadDimensionError("dimensions must be positive")
         u = linalg.as_square(self.joint_unitary)
         if u.shape[0] != d_s * d_a:
             raise BadDimensionError("joint unitary does not match system x apparatus")
-        if linalg.orthonormality_defect(u) > tol:
+        if linalg.orthonormality_defect(u) > linalg.DEFAULT_TOL:
             raise InvalidModelError("joint operator is not unitary within tolerance")
         init = np.asarray(self.apparatus_init, dtype=complex)
         if init.shape != (d_a,):
             raise BadDimensionError("apparatus init vector has the wrong length")
-        if abs(np.linalg.norm(init) - 1.0) > tol:
+        if abs(np.linalg.norm(init) - 1.0) > linalg.DEFAULT_TOL:
             raise InvalidModelError("apparatus init vector is not normalized")
         basis = np.asarray(self.readout_basis, dtype=complex)
         if basis.ndim != 2 or basis.shape[0] != d_a or basis.shape[1] > d_a:
             raise BadDimensionError("readout basis has the wrong shape")
-        if linalg.orthonormality_defect(basis) > tol:
+        if linalg.orthonormality_defect(basis) > linalg.DEFAULT_TOL:
             raise InvalidModelError("readout basis columns are not orthonormal")
         return self
 

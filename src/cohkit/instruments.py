@@ -27,8 +27,6 @@ from .states import (
     fine_graining,
 )
 
-PROB_FLOOR = 1e-12
-
 
 def born_probabilities(rho, measurement) -> np.ndarray:
     """Outcome probabilities Tr(P_n rho) for an Observable or Tr(M_n rho) for a Povm."""
@@ -59,16 +57,18 @@ def luders(rho, obs: Observable) -> DensityMatrix:
     return DensityMatrix(matrix=linalg.hermitize(out))
 
 
-def luders_outcome(
-    rho, obs: Observable, n: int, threshold: float = PROB_FLOOR
-) -> tuple[float, DensityMatrix]:
-    """Probability and normalized post-state for outcome n."""
+def luders_outcome(rho, obs: Observable, n: int) -> tuple[float, DensityMatrix]:
+    """Probability and normalized post-state for outcome n.
+
+    An outcome with probability at or below ``linalg.PROB_FLOOR`` raises
+    ZeroProbabilityOutcomeError.
+    """
     r = linalg.as_square(rho)
     if not 0 <= n < obs.n_outcomes:
         raise BadParameterError(f"outcome {n} is out of range")
     p_n = obs.projectors[n]
     prob = float(np.real(np.trace(p_n @ r)))
-    if prob <= threshold:
+    if prob <= linalg.PROB_FLOOR:
         raise ZeroProbabilityOutcomeError(f"outcome {n} has probability {prob}")
     post = linalg.hermitize(p_n @ r @ p_n) / prob
     return prob, DensityMatrix(matrix=post)
@@ -122,8 +122,8 @@ def generalized_luders(rho, povm: Povm) -> DensityMatrix:
     for e in povm.effects:
         spec = linalg.hermitian_eig(e)
         # solver noise of order 1e-16 would blow up to 1e-8 under the square
-        # root, so eigenvalue components at or below 1e-12 are treated as zero
-        w = np.where(spec.eigenvalues > 1e-12, spec.eigenvalues, 0.0)
+        # root, so eigenvalue components at or below RANK_TOL are treated as zero
+        w = np.where(spec.eigenvalues > linalg.RANK_TOL, spec.eigenvalues, 0.0)
         root = (spec.eigenvectors * np.sqrt(w)) @ spec.eigenvectors.conj().T
         out += root @ r @ root
     return DensityMatrix(matrix=linalg.hermitize(out))

@@ -1,13 +1,36 @@
-"""Dense complex linear algebra kernel.
+"""Dense complex linear algebra kernel and the library's tolerance policy.
 
 All entropic quantities are in bits (log base 2). Eigenvalues within
 ``EIG_CLAMP`` of zero are clamped to exactly zero before any logarithm is
 taken, so rank-deficient states are handled without sign noise.
+
+Every numerical threshold of the library is defined here, once, as a fixed
+absolute constant; no function takes a tolerance keyword except
+``majorizes`` and ``weakly_majorizes``, whose slack is part of the question.
+
+- ``DEFAULT_TOL`` 1e-8: every validation check (Hermitian, unit trace, PSD,
+  orthonormal, sums to the identity, trace preserving, unital) fails on a
+  defect ``>`` it.
+- ``EIG_CLAMP`` 1e-9: eigenvalues and probabilities with ``|w| <=`` it
+  count as 0 in entropies; a weight ``>`` it on a zero eigenvalue of sigma
+  makes a relative entropy infinite.
+- ``ZERO_TOL`` 1e-10: a Kraus entry is zero when ``|k| <`` it (GIO, SIO and
+  IO classification and factoring).
+- ``RANK_TOL`` 1e-12: eigenvalue components ``>`` it are kept in a Gram
+  factor (``gio_from_correlation``) and a POVM square root.
+- ``PROB_FLOOR`` 1e-12: an outcome with probability ``<=`` it has no Lüders
+  post-state; ``classical_correlation`` skips outcomes ``<`` it.
+- ``NULL_TOL`` 1e-9: singular values ``<=`` it span ``commutant``.
+- ``GROUP_TOL`` 1e-6: sorted eigenvalues a gap ``<`` it apart share a
+  cluster in ``spectral_decompose``.
+- ``IMAG_TOL`` 1e-12: majorization rejects a vector whose imaginary parts
+  reach ``>`` it.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +50,12 @@ from .errors import (
 
 DEFAULT_TOL = 1e-8
 EIG_CLAMP = 1e-9
+ZERO_TOL = 1e-10
+RANK_TOL = 1e-12
+PROB_FLOOR = 1e-12
+NULL_TOL = 1e-9
+GROUP_TOL = 1e-6
+IMAG_TOL = 1e-12
 
 
 def as_matrix(m) -> np.ndarray:
@@ -34,8 +63,13 @@ def as_matrix(m) -> np.ndarray:
     a = np.asarray(getattr(m, "matrix", m), dtype=complex)
     if a.ndim != 2:
         raise ShapeMismatchError(f"expected a 2-D matrix, got ndim={a.ndim}")
+    return _finite(a, "matrix")
+
+
+def _finite(a: np.ndarray, what: str) -> np.ndarray:
+    # the one finiteness check: a NaN or inf entry is an error, never dropped
     if not np.isfinite(a).all():
-        raise BadParameterError("matrix entries must be finite")
+        raise BadParameterError(f"{what} entries must be finite")
     return a
 
 
@@ -67,7 +101,7 @@ def orthonormality_defect(b: np.ndarray) -> float:
     return float(np.max(np.abs(b.conj().T @ b - np.eye(b.shape[1]))))
 
 
-def basis_matrix(basis, dim: int, tol: float = DEFAULT_TOL) -> np.ndarray:
+def basis_matrix(basis, dim: int) -> np.ndarray:
     """A dim x dim unitary whose columns form the basis.
 
     ``basis`` is a matrix or an object with a ``.basis`` (a fine-graining).
@@ -77,7 +111,7 @@ def basis_matrix(basis, dim: int, tol: float = DEFAULT_TOL) -> np.ndarray:
         raise ShapeMismatchError("a basis needs at least one vector")
     if b.shape != (dim, dim):
         raise BadBasisError(f"basis must be {dim}x{dim}, got {b.shape}")
-    if orthonormality_defect(b) > tol:
+    if orthonormality_defect(b) > DEFAULT_TOL:
         raise BadBasisError("basis columns are not orthonormal")
     return b
 
@@ -90,7 +124,7 @@ class Spectrum:
     eigenvectors: np.ndarray
 
 
-def hermitian_eig(m, tol: float = DEFAULT_TOL) -> Spectrum:
+def hermitian_eig(m) -> Spectrum:
     """Spectral decomposition of a Hermitian matrix.
 
     Eigenvalues come back sorted non-increasing; ties keep the solver's
@@ -99,8 +133,8 @@ def hermitian_eig(m, tol: float = DEFAULT_TOL) -> Spectrum:
     toolkit works at (d <= 64).
     """
     a = as_square(m)
-    if _hermiticity_defect(a) > tol:
-        raise NotHermitianError(f"matrix is not Hermitian within {tol}")
+    if _hermiticity_defect(a) > DEFAULT_TOL:
+        raise NotHermitianError(f"matrix is not Hermitian within {DEFAULT_TOL}")
     try:
         w, v = np.linalg.eigh(hermitize(a))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
@@ -128,6 +162,8 @@ def partial_trace(m, dims: tuple[int, int], keep: int) -> np.ndarray:
     dims = (d_first, d_second); keep = 0 keeps the first factor, 1 the second.
     """
     a = as_square(m)
+    if not all(isinstance(d, numbers.Integral) for d in dims):
+        raise BadParameterError(f"subsystem dimensions {tuple(dims)} must be integers")
     d0, d1 = int(dims[0]), int(dims[1])
     if d0 < 1 or d1 < 1:
         raise BadParameterError("subsystem dimensions must be positive")
@@ -149,21 +185,25 @@ def hs_norm(m) -> float:
     return float(np.linalg.norm(as_matrix(m)))
 
 
-def _density_spectrum(m, tol: float) -> tuple[np.ndarray, Spectrum]:
+def _density_spectrum(m) -> tuple[np.ndarray, Spectrum]:
     """The one density check: Hermitian, then unit trace, then PSD.
 
     Returns the coerced matrix and its spectrum. Raises NotHermitianError
     (from hermitian_eig), TraceNotOneError or NotPositiveError.
     """
     a = as_square(m)
-    spec = hermitian_eig(a, tol=tol)
+    spec = hermitian_eig(a)
     tr = complex(np.trace(a))
-    if abs(tr - 1.0) > tol:
-        raise TraceNotOneError(f"trace {tr} is not 1 within {tol}")
-    w = spec.eigenvalues
-    if w.min(initial=0.0) < -tol:
-        raise NotPositiveError(f"eigenvalue {w.min()} below -{tol}")
+    if abs(tr - 1.0) > DEFAULT_TOL:
+        raise TraceNotOneError(f"trace {tr} is not 1 within {DEFAULT_TOL}")
+    _require_psd(spec.eigenvalues, NotPositiveError)
     return a, spec
+
+
+def _require_psd(w: np.ndarray, error, what: str = "") -> None:
+    # the one positivity test: no eigenvalue below -DEFAULT_TOL
+    if w.min(initial=0.0) < -DEFAULT_TOL:
+        raise error(f"{what}eigenvalue {w.min()} below -{DEFAULT_TOL}")
 
 
 def _clamped(w: np.ndarray) -> np.ndarray:
@@ -174,50 +214,45 @@ def _clamped(w: np.ndarray) -> np.ndarray:
     return w
 
 
-def _clamped_density_eigs(m, tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _clamped_density_eigs(m) -> tuple[np.ndarray, np.ndarray]:
     # the density check with InvalidStateError, then eigenvalues clamped at 0
     try:
-        _, spec = _density_spectrum(m, tol)
+        _, spec = _density_spectrum(m)
     except (NotHermitianError, TraceNotOneError, NotPositiveError) as exc:
         raise InvalidStateError(f"state: {exc}") from None
     return _clamped(spec.eigenvalues), spec.eigenvectors
 
 
-def shannon_entropy(p, tol: float = DEFAULT_TOL) -> float:
+def shannon_entropy(p) -> float:
     """Shannon entropy of a probability vector, in bits."""
-    q = np.asarray(p, dtype=float)
+    q = _finite(np.asarray(p, dtype=float), "probability")
     if q.ndim != 1:
         raise ShapeMismatchError("expected a 1-D probability vector")
-    if q.min(initial=0.0) < -tol:
-        raise BadParameterError(f"probability {q.min()} below -{tol}")
-    if abs(q.sum() - 1.0) > tol:
-        raise BadParameterError(f"probabilities sum to {q.sum()}, not 1 within {tol}")
+    if q.min(initial=0.0) < -DEFAULT_TOL:
+        raise BadParameterError(f"probability {q.min()} below -{DEFAULT_TOL}")
+    if abs(q.sum() - 1.0) > DEFAULT_TOL:
+        raise BadParameterError(f"probabilities sum to {q.sum()}, not 1 within {DEFAULT_TOL}")
     q = _clamped(q)
     pos = q[q > 0.0]
     return float(-np.sum(pos * np.log2(pos)))
 
 
-def von_neumann_entropy(rho, tol: float = DEFAULT_TOL) -> float:
+def von_neumann_entropy(rho) -> float:
     """Von Neumann entropy in bits. Raises InvalidStateError on a non-state."""
-    w, _ = _clamped_density_eigs(rho, tol)
+    w, _ = _clamped_density_eigs(rho)
     pos = w[w > 0.0]
     return float(-np.sum(pos * np.log2(pos)))
 
 
-def _relative_entropy_core(
-    rho: np.ndarray, sigma: np.ndarray, tol: float, sigma_eigs=None
-) -> float:
+def _relative_entropy_core(rho: np.ndarray, sigma: np.ndarray, sigma_eigs=None) -> float:
     # S(rho||sigma) with sigma allowed to be sub-normalized (PSD, trace <= 1).
     # Returns +inf when supp(rho) is not contained in supp(sigma). A caller
     # that has checked sigma passes its clamped eigenvalues and eigenvectors
     # as sigma_eigs, so sigma is not diagonalized a second time.
-    wr, _ = _clamped_density_eigs(rho, tol)
+    wr, _ = _clamped_density_eigs(rho)
     if sigma_eigs is None:
-        spec = hermitian_eig(sigma, tol=tol)
-        if spec.eigenvalues.min(initial=0.0) < -tol:
-            raise InvalidStateError(
-                f"second argument has eigenvalue {spec.eigenvalues.min()} below -{tol}"
-            )
+        spec = hermitian_eig(sigma)
+        _require_psd(spec.eigenvalues, InvalidStateError, "second argument has ")
         sigma_eigs = _clamped(spec.eigenvalues), spec.eigenvectors
     ws, vs = sigma_eigs
     pos = wr[wr > 0.0]
@@ -233,20 +268,20 @@ def _relative_entropy_core(
     return tr_rho_log_rho - tr_rho_log_sigma
 
 
-def relative_entropy(rho, sigma, tol: float = DEFAULT_TOL) -> float:
+def relative_entropy(rho, sigma) -> float:
     """Quantum relative entropy S(rho||sigma) in bits; +inf on support violation."""
     a, b = as_square(rho), as_square(sigma)
     if a.shape != b.shape:
         raise DimMismatchError(f"shapes {a.shape} and {b.shape} differ")
     # the second argument must itself be a state here; its check's spectrum is reused
-    return _relative_entropy_core(a, b, tol, _clamped_density_eigs(b, tol))
+    return _relative_entropy_core(a, b, _clamped_density_eigs(b))
 
 
 def _sorted_desc(x) -> np.ndarray:
-    v = np.asarray(x, dtype=complex)
+    v = _finite(np.asarray(x, dtype=complex), "vector")
     if v.ndim != 1 or v.size == 0:
         raise ShapeMismatchError("expected a nonempty 1-D vector")
-    if np.max(np.abs(v.imag), initial=0.0) > 1e-12:
+    if np.max(np.abs(v.imag), initial=0.0) > IMAG_TOL:
         raise BadParameterError("majorization is defined for real vectors")
     return np.sort(v.real)[::-1]
 

@@ -33,8 +33,15 @@ from .errors import (
 )
 
 
-def as_generator(seed) -> np.random.Generator:
-    """Accept an int seed, a SeedSequence or a Generator and return a Generator."""
+def as_generator(seed, **sizes: int) -> np.random.Generator:
+    """Accept an int seed, a SeedSequence or a Generator and return a Generator.
+
+    Every random generator enters here and names the dimensions and counts
+    it draws with as keywords; one below 1 raises BadParameterError.
+    """
+    for name, value in sizes.items():
+        if value < 1:
+            raise BadParameterError(f"{name} must be positive")
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
@@ -53,14 +60,14 @@ class DensityMatrix:
     def eigenvalues(self) -> np.ndarray:
         return linalg.hermitian_eig(self.matrix).eigenvalues
 
-    def validate(self, tol: float = linalg.DEFAULT_TOL) -> "DensityMatrix":
-        validate_density(self.matrix, tol)
+    def validate(self) -> "DensityMatrix":
+        validate_density(self.matrix)
         return self
 
 
-def validate_density(m, tol: float = linalg.DEFAULT_TOL) -> DensityMatrix:
+def validate_density(m) -> DensityMatrix:
     """Check Hermiticity, unit trace and positivity, and wrap the matrix."""
-    a, _ = linalg._density_spectrum(m, tol)
+    a, _ = linalg._density_spectrum(m)
     return DensityMatrix(matrix=a)
 
 
@@ -124,7 +131,7 @@ class Observable:
             self._block_bases[n] = cols
         return cols
 
-    def validate(self, tol: float = linalg.DEFAULT_TOL) -> "Observable":
+    def validate(self) -> "Observable":
         vals = np.asarray(self.eigenvalues, dtype=float)
         if vals.ndim != 1 or len(self.projectors) != vals.size:
             raise ShapeMismatchError("eigenvalue/projector count mismatch")
@@ -137,22 +144,22 @@ class Observable:
         for n, p in enumerate(self.projectors):
             if p.shape != (d, d):
                 raise DimMismatchError("projector dimensions differ")
-            if linalg.hermiticity_defect(p) > tol:
-                raise NotHermitianError(f"projector {n} is not Hermitian within {tol}")
+            if linalg.hermiticity_defect(p) > linalg.DEFAULT_TOL:
+                raise NotHermitianError(f"projector {n} is not Hermitian within {linalg.DEFAULT_TOL}")
             for m_, q in enumerate(self.projectors):
                 prod = p @ q
                 target = p if m_ == n else 0.0
-                if np.max(np.abs(prod - target)) > tol:
+                if np.max(np.abs(prod - target)) > linalg.DEFAULT_TOL:
                     raise BadParameterError(f"projectors {n},{m_} are not orthogonal idempotents")
-            if abs(np.real(np.trace(p)) - self.degeneracies[n]) > tol:
+            if abs(np.real(np.trace(p)) - self.degeneracies[n]) > linalg.DEFAULT_TOL:
                 raise BadParameterError(f"projector {n} trace differs from its degeneracy")
             total += p
-        if np.max(np.abs(total - np.eye(d))) > tol:
+        if np.max(np.abs(total - np.eye(d))) > linalg.DEFAULT_TOL:
             raise BadParameterError("projectors do not resolve the identity")
         return self
 
 
-def observable_from_projectors(values, projectors, tol: float = linalg.DEFAULT_TOL) -> Observable:
+def observable_from_projectors(values, projectors) -> Observable:
     """Build an Observable from eigenvalues and projectors, sorting values decreasing."""
     vals = np.asarray(values, dtype=float)
     if vals.ndim != 1 or len(projectors) != vals.size:
@@ -161,15 +168,15 @@ def observable_from_projectors(values, projectors, tol: float = linalg.DEFAULT_T
     projs = tuple(linalg.as_square(projectors[i]) for i in order)
     degs = tuple(int(round(float(np.real(np.trace(p))))) for p in projs)
     obs = Observable(eigenvalues=vals[order], projectors=projs, degeneracies=degs)
-    return obs.validate(tol)
+    return obs.validate()
 
 
-def spectral_decompose(h, group_tol: float = 1e-6) -> Observable:
+def spectral_decompose(h) -> Observable:
     """Spectral decomposition with eigenvalue clustering.
 
     Consecutive sorted eigenvalues are split whenever their gap reaches
-    group_tol. Afterwards every cluster must have spread strictly below
-    group_tol and every split gap must be strictly above it; a spectrum that
+    ``linalg.GROUP_TOL``. Afterwards every cluster must have spread strictly
+    below it and every split gap must be strictly above it; a spectrum that
     cannot be separated this way raises AmbiguousGroupingError.
     """
     spec = linalg.hermitian_eig(h)
@@ -178,25 +185,25 @@ def spectral_decompose(h, group_tol: float = 1e-6) -> Observable:
         raise ShapeMismatchError("cannot decompose an empty matrix")
     groups: list[list[int]] = [[0]]
     for i in range(1, w.size):
-        if w[i - 1] - w[i] >= group_tol:
+        if w[i - 1] - w[i] >= linalg.GROUP_TOL:
             groups.append([i])
         else:
             groups[-1].append(i)
     values, projectors = [], []
     for g in groups:
         spread = w[g[0]] - w[g[-1]]
-        if spread >= group_tol:
+        if spread >= linalg.GROUP_TOL:
             raise AmbiguousGroupingError(
-                f"cluster spread {spread} is not below group_tol={group_tol}"
+                f"cluster spread {spread} is not below group_tol={linalg.GROUP_TOL}"
             )
         cols = v[:, g]
         values.append(float(np.mean(w[g])))
         projectors.append(cols @ cols.conj().T)
     for a, b in zip(groups[:-1], groups[1:]):
         gap = w[a[-1]] - w[b[0]]
-        if gap <= group_tol:
+        if gap <= linalg.GROUP_TOL:
             raise AmbiguousGroupingError(
-                f"cluster gap {gap} is not above group_tol={group_tol}"
+                f"cluster gap {gap} is not above group_tol={linalg.GROUP_TOL}"
             )
     degs = tuple(len(g) for g in groups)
     return Observable(
@@ -248,11 +255,11 @@ class FineGraining:
         """Column range of each block inside basis."""
         return self._block_slices
 
-    def refines(self, obs: Observable, tol: float = linalg.DEFAULT_TOL) -> bool:
+    def refines(self, obs: Observable) -> bool:
         if len(self.blocks) != obs.n_outcomes or self.dim != obs.dim:
             return False
         for b, p in zip(self.blocks, obs.projectors):
-            if np.max(np.abs(b @ b.conj().T - p)) > tol:
+            if np.max(np.abs(b @ b.conj().T - p)) > linalg.DEFAULT_TOL:
                 return False
         return True
 
@@ -264,7 +271,7 @@ def _label_step(obs: Observable) -> float:
     return float(gaps.min() / (2.0 * max(obs.degeneracies)))
 
 
-def fine_graining(obs: Observable, blocks=None, tol: float = linalg.DEFAULT_TOL) -> FineGraining:
+def fine_graining(obs: Observable, blocks=None) -> FineGraining:
     """Build a fine-graining of obs; blocks default to each projector's eigenbasis."""
     if blocks is None:
         blocks = tuple(obs.block_basis(n) for n in range(obs.n_outcomes))
@@ -275,9 +282,9 @@ def fine_graining(obs: Observable, blocks=None, tol: float = linalg.DEFAULT_TOL)
         for n, (b, p, d_n) in enumerate(zip(blocks, obs.projectors, obs.degeneracies)):
             if b.shape != (obs.dim, d_n):
                 raise DimMismatchError(f"block {n} must be {obs.dim}x{d_n}")
-            if linalg.orthonormality_defect(b) > tol:
+            if linalg.orthonormality_defect(b) > linalg.DEFAULT_TOL:
                 raise NonOrthonormalError(f"block {n} columns are not orthonormal")
-            if np.max(np.abs(p @ b - b)) > tol:
+            if np.max(np.abs(p @ b - b)) > linalg.DEFAULT_TOL:
                 raise VectorOutsideEigenspaceError(f"block {n} leaves range(P_{n})")
     eps = _label_step(obs)
     labels = tuple(
@@ -309,8 +316,8 @@ class BipartiteState:
         return DensityMatrix(linalg.partial_trace(self.state.matrix, self.dims, keep=1))
 
 
-def bipartite(state, dim_a: int, dim_b: int, tol: float = linalg.DEFAULT_TOL) -> BipartiteState:
-    rho = state if isinstance(state, DensityMatrix) else validate_density(state, tol)
+def bipartite(state, dim_a: int, dim_b: int) -> BipartiteState:
+    rho = state if isinstance(state, DensityMatrix) else validate_density(state)
     if rho.dim != dim_a * dim_b:
         raise DimMismatchError(f"state dimension {rho.dim} is not {dim_a}*{dim_b}")
     return BipartiteState(dims=(dim_a, dim_b), state=rho)
@@ -337,7 +344,7 @@ class Povm:
         return len(self.effects)
 
 
-def make_povm(effects, tol: float = linalg.DEFAULT_TOL) -> Povm:
+def make_povm(effects) -> Povm:
     ops = tuple(linalg.as_square(e) for e in effects)
     if not ops:
         raise BadParameterError("a POVM needs at least one effect")
@@ -346,24 +353,23 @@ def make_povm(effects, tol: float = linalg.DEFAULT_TOL) -> Povm:
         if e.shape != (d, d):
             raise DimMismatchError("effect dimensions differ")
         try:
-            w = linalg.hermitian_eig(e, tol=tol).eigenvalues
+            w = linalg.hermitian_eig(e).eigenvalues
         except NotHermitianError:
-            raise NotHermitianError(f"effect {n} is not Hermitian within {tol}") from None
-        if w.min(initial=0.0) < -tol:
-            raise NotPositiveError(f"effect {n} has eigenvalue {w.min()} below -{tol}")
-    if np.max(np.abs(sum(ops) - np.eye(d))) > tol:
+            raise NotHermitianError(
+                f"effect {n} is not Hermitian within {linalg.DEFAULT_TOL}"
+            ) from None
+        linalg._require_psd(w, NotPositiveError, f"effect {n} has ")
+    if np.max(np.abs(sum(ops) - np.eye(d))) > linalg.DEFAULT_TOL:
         raise BadParameterError("effects do not sum to the identity")
     return Povm(effects=ops)
 
 
 def random_density(dim: int, rank: int | None = None, seed=0) -> DensityMatrix:
     """G G^dag / Tr with G a seeded dim x rank complex Gaussian matrix."""
-    if dim < 1:
-        raise BadParameterError("dim must be positive")
+    rng = as_generator(seed, dim=dim)
     rank = dim if rank is None else int(rank)
     if not 1 <= rank <= dim:
         raise BadParameterError(f"rank must lie in [1, {dim}]")
-    rng = as_generator(seed)
     g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
     return DensityMatrix(matrix=_normalized_gram(g))
 
@@ -376,9 +382,7 @@ def _normalized_gram(g: np.ndarray) -> np.ndarray:
 
 def random_unitary(dim: int, seed=0) -> np.ndarray:
     """Haar-style unitary from the QR factorization of a seeded complex Gaussian."""
-    if dim < 1:
-        raise BadParameterError("dim must be positive")
-    rng = as_generator(seed)
+    rng = as_generator(seed, dim=dim)
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(g)
     d = np.diagonal(r)
@@ -387,10 +391,10 @@ def random_unitary(dim: int, seed=0) -> np.ndarray:
 
 def random_observable(dim: int, profile, seed=0) -> Observable:
     """Random observable whose eigenspace dimensions follow the profile."""
+    rng = as_generator(seed, dim=dim)
     profile = tuple(int(p) for p in profile)
     if any(p < 1 for p in profile) or sum(profile) != dim:
         raise BadProfileError(f"profile {profile} does not sum to dim={dim}")
-    rng = as_generator(seed)
     u = random_unitary(dim, rng)
     # gaps of 0.5 plus Dirichlet shares of the spare room, so every gap
     # exceeds 0.5 by construction; the values span [0, max(10, n)]
@@ -410,9 +414,7 @@ def random_observable(dim: int, profile, seed=0) -> Observable:
 
 def random_povm(dim: int, n_effects: int, seed=0) -> Povm:
     """Random full-rank POVM: normalized seeded Wishart blocks."""
-    if n_effects < 1:
-        raise BadParameterError("n_effects must be positive")
-    rng = as_generator(seed)
+    rng = as_generator(seed, dim=dim, n_effects=n_effects)
     g = np.array([rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
                   for _ in range(n_effects)])
     blocks = g @ g.conj().transpose(0, 2, 1)
@@ -422,11 +424,12 @@ def random_povm(dim: int, n_effects: int, seed=0) -> Povm:
 
 
 def random_bipartite(dim_a: int, dim_b: int, rank: int | None = None, seed=0) -> BipartiteState:
-    return BipartiteState(dims=(dim_a, dim_b), state=random_density(dim_a * dim_b, rank, seed))
+    rng = as_generator(seed, dim_a=dim_a, dim_b=dim_b)
+    return BipartiteState(dims=(dim_a, dim_b), state=random_density(dim_a * dim_b, rank, rng))
 
 
 def random_pure(dim: int, seed=0) -> np.ndarray:
     """A seeded Haar-style unit vector."""
-    rng = as_generator(seed)
+    rng = as_generator(seed, dim=dim)
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return v / np.linalg.norm(v)

@@ -296,7 +296,7 @@ def test_kraus_channel_is_frozen_with_a_read_only_stack():
     assert [np.array_equal(a, b) for a, b in zip(ch.kraus, ops)] == [False, True]
 
 
-def _factor_loop(k, zero_tol=channels.ZERO_TOL):
+def _factor_loop(k, zero_tol=linalg.ZERO_TOL):
     # reference: one column at a time
     mapping, coeffs = [], []
     for i in range(k.shape[0]):
@@ -309,7 +309,7 @@ def _factor_loop(k, zero_tol=channels.ZERO_TOL):
 
 
 def _classify_loop(ks):
-    if all(np.max(np.abs(k - np.diag(np.diag(k)))) < channels.ZERO_TOL for k in ks):
+    if all(np.max(np.abs(k - np.diag(np.diag(k)))) < linalg.ZERO_TOL for k in ks):
         return channels.GIO
     try:
         maps = [_factor_loop(k)[0] for k in ks]
@@ -359,7 +359,7 @@ def test_vectorized_factoring_matches_the_column_loop(d):
                     assert got[0].mapping == want[0]
                     assert np.array_equal(got[1], np.diag(want[1]))
             errors = [want for want in expect if isinstance(want, str)]
-            form = _error_or_form(channels._factor_stack, ks, channels.ZERO_TOL)
+            form = _error_or_form(channels._factor_stack, ks)
             if errors:
                 assert form == errors[0]
             else:
@@ -373,6 +373,6 @@ def test_stack_factoring_reports_the_first_bad_operator_and_column():
     good = np.diag([1.0, 0.5, 0.25]).astype(complex)
     bad = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [0.0, 1.0, 1.0]], dtype=complex)
     with pytest.raises(NotIOFormError, match="^column 1 has 2 nonzero entries$"):
-        channels._factor_stack(np.array([good, bad, bad.T]), channels.ZERO_TOL)
+        channels._factor_stack(np.array([good, bad, bad.T]))
     with pytest.raises(NotIOFormError, match="^column 0 has 2 nonzero entries$"):
-        channels._factor_stack(np.array([good, bad.T, bad]), channels.ZERO_TOL)
+        channels._factor_stack(np.array([good, bad.T, bad]))

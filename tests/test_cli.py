@@ -274,9 +274,9 @@ def test_classify_factors_each_operator_once(tmp_path, monkeypatch):
     calls = []
     factor = channels._factor_stack
 
-    def counted(ks, zero_tol):
+    def counted(ks):
         calls.append(len(ks))
-        return factor(ks, zero_tol)
+        return factor(ks)
 
     monkeypatch.setattr(channels, "_factor_stack", counted)
     path = tmp_path / "io.json"
@@ -330,3 +330,19 @@ def test_unwritable_output_path_is_a_parse_error(tmp_path):
     assert code == 2
     assert text == ""
     assert err.startswith(f"parse error: cannot write {out}")
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["channel", "--family", "sio", "--dim", "3", "--kraus", "0"], "n_kraus must be positive"),
+    (["povm", "--dim", "-2"], "dim must be positive"),
+    (["channel", "--family", "gio", "--dim", "-1"], "dim must be positive"),
+    (["povm", "--dim", "0"], "dim must be positive"),
+], ids=["sio-kraus-0", "povm-dim-minus-2", "gio-dim-minus-1", "povm-dim-0"])
+def test_gen_rejects_sizes_below_one(tmp_path, flags, message):
+    # each used to end in a traceback (exit 1) or, for a POVM at dim 0, in a
+    # file that serialize.load then rejects
+    out = tmp_path / "x.json"
+    code, text, err = run_cli("gen", *flags, "--out", str(out))
+    assert code == 3 and text == ""
+    assert err == f"validation error: {message}\n"
+    assert not out.exists()

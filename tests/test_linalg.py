@@ -142,3 +142,25 @@ def test_schur_product_and_norms():
 def test_majorizes_rejects_empty_vectors():
     with pytest.raises(ShapeMismatchError):
         linalg.majorizes([], [])
+
+
+@pytest.mark.parametrize("call", [
+    lambda: linalg.shannon_entropy([math.nan, 1.0]),
+    lambda: linalg.shannon_entropy([math.inf, 0.0]),
+    lambda: linalg.majorizes([math.nan, 1.0], [0.5, 0.5]),
+    lambda: linalg.weakly_majorizes([math.nan, 1.0], [0.5, 0.5]),
+    lambda: linalg.weakly_majorizes([0.5, 0.5], [0.5, complex(0.5, math.inf)]),
+], ids=["shannon-nan", "shannon-inf", "majorizes-nan", "weakly-nan", "weakly-complex-inf"])
+def test_vectors_with_non_finite_entries_are_rejected(call):
+    # a NaN used to pass every comparison and then be dropped as a zero
+    with pytest.raises(BadParameterError, match="entries must be finite"):
+        call()
+
+
+@pytest.mark.parametrize("dims", [(2.5, 2), (2, 2.0), (math.nan, 2), (2, math.inf), ("2", 2)])
+def test_partial_trace_rejects_non_integer_dimensions(dims):
+    m = np.eye(4) / 4.0
+    with pytest.raises(BadParameterError, match="must be integers"):
+        linalg.partial_trace(m, dims, keep=0)
+    # numpy integers are integers
+    assert np.array_equal(linalg.partial_trace(m, (np.int64(2), 2), keep=0), np.eye(2) / 2.0)

@@ -1,7 +1,9 @@
-"""Snapshots of the public surface: the names ``cohkit`` exports and the
-exception hierarchy. A merge that drops or adds a public name, or moves an
-exception under another base class, fails here."""
+"""Snapshots of the public surface: the names ``cohkit`` exports, the
+exception hierarchy and the tolerance policy. A merge that drops or adds a
+public name, moves an exception under another base class, adds a tolerance
+keyword or moves or changes a threshold fails here."""
 
+import importlib
 import inspect
 
 import cohkit
@@ -63,3 +65,52 @@ def test_exception_classes_keep_their_bases():
         if inspect.isclass(value) and issubclass(value, BaseException)
     }
     assert bases == {name: (base,) for name, base in ERROR_BASES.items()}
+
+
+# the library modules; verify is the property suite, whose @_property(tol=...)
+# declarations are each property's bound, not a knob of the library
+LIBRARY = ("errors", "linalg", "states", "instruments", "coherence", "channels", "dilation",
+           "serialize", "cli")
+TOLERANCE_NAMES = {"tol", "zero_tol", "cutoff", "threshold", "group_tol"}
+THRESHOLDS = {
+    "DEFAULT_TOL": 1e-8, "EIG_CLAMP": 1e-9, "ZERO_TOL": 1e-10, "RANK_TOL": 1e-12,
+    "PROB_FLOOR": 1e-12, "NULL_TOL": 1e-9, "GROUP_TOL": 1e-6, "IMAG_TOL": 1e-12,
+}
+
+
+def _library_functions():
+    # every function and method the library modules define, private ones too,
+    # plus the public functions of verify
+    for short in (*LIBRARY, "verify"):
+        module = importlib.import_module(f"cohkit.{short}")
+        for name, value in vars(module).items():
+            if getattr(value, "__module__", None) != module.__name__:
+                continue
+            if short == "verify" and name.startswith("_"):
+                continue
+            if inspect.isfunction(value):
+                yield f"{short}.{name}", value
+            elif inspect.isclass(value):
+                for attr, method in vars(value).items():
+                    if inspect.isfunction(method):
+                        yield f"{short}.{name}.{attr}", method
+
+
+def test_only_majorization_takes_a_tolerance():
+    knobs = {
+        (name, param)
+        for name, fn in _library_functions()
+        for param in inspect.signature(fn).parameters
+        if param in TOLERANCE_NAMES
+    }
+    assert knobs == {("linalg.majorizes", "tol"), ("linalg.weakly_majorizes", "tol")}
+
+
+def test_every_threshold_is_defined_once_in_linalg():
+    floats = {
+        (short, name): value
+        for short in LIBRARY
+        for name, value in vars(importlib.import_module(f"cohkit.{short}")).items()
+        if isinstance(value, float)
+    }
+    assert floats == {("linalg", name): value for name, value in THRESHOLDS.items()}

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from cohkit import instruments, linalg, states
+from cohkit import channels, instruments, linalg, states
 from cohkit.errors import (
     AmbiguousGroupingError,
     BadParameterError,
@@ -271,3 +271,29 @@ def test_povm_checks_keep_their_order():
         states.make_povm([good, negative, skew])
     with pytest.raises(DimMismatchError):
         states.make_povm([good, np.eye(3), skew])
+
+
+GENERATORS = {
+    "density-dim": lambda n: states.random_density(n),
+    "unitary-dim": lambda n: states.random_unitary(n),
+    "observable-dim": lambda n: states.random_observable(n, ()),
+    "povm-dim": lambda n: states.random_povm(n, 2),
+    "povm-effects": lambda n: states.random_povm(2, n),
+    "bipartite-both": lambda n: states.random_bipartite(n, n),
+    "bipartite-b": lambda n: states.random_bipartite(2, n),
+    "pure-dim": lambda n: states.random_pure(n),
+    "gio-dim": lambda n: channels.random_gio(n, 2),
+    "gio-kraus": lambda n: channels.random_gio(2, n),
+    "sio-dim": lambda n: channels.random_sio(n, 2),
+    "sio-kraus": lambda n: channels.random_sio(2, n),
+    "io-dim": lambda n: channels.random_io(n),
+    "mixed-unitary-dim": lambda n: channels.random_mixed_unitary(n, 2),
+    "mixed-unitary-count": lambda n: channels.random_mixed_unitary(2, n),
+}
+
+
+@pytest.mark.parametrize("size", [0, -1])
+@pytest.mark.parametrize("draw", GENERATORS.values(), ids=GENERATORS.keys())
+def test_generators_reject_sizes_below_one(draw, size):
+    with pytest.raises(BadParameterError, match="must be positive"):
+        draw(size)
