@@ -159,7 +159,7 @@ def test_evolve_rejects_paths_above_the_bound(tmp_path, monkeypatch):
             " above the evolve limit 16777216") in err
     assert not out.exists()
     # the bound itself is accepted; a small bound keeps the path small
-    monkeypatch.setattr(cli, "MAX_PATH_ENTRIES", 12)
+    monkeypatch.setattr(cli, "MAX_ENTRIES", 12)
     code, text, _ = run_cli("evolve", str(chan), str(state), "--steps", "2")
     assert code == 0 and len(text.strip().split("\n")) == 4
     code, _, err = run_cli("evolve", str(chan), str(state), "--steps", "3")
