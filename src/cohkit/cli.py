@@ -2,8 +2,10 @@
 
 Subcommands: measure, classify, dilate, evolve, discord, verify, gen.
 Every command is a pure function of its input files, flags and seed; reports
-carry no timing or machine state. Exit codes: 0 ok, 1 verify-property
-failure, 2 parse error, 3 validation error.
+carry no timing or machine state. A command returns one result: its --json
+document and the text lines rendered from the same values, and main prints
+one of the two. Exit codes: 0 ok, 1 verify-property failure, 2 parse error,
+3 validation error.
 """
 
 from __future__ import annotations

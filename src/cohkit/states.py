@@ -14,6 +14,7 @@ once, on first use, and shared by every later call.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -33,14 +34,22 @@ from .errors import (
 )
 
 
+def _integer(name: str, value):
+    """Return value if it is an integer; raise BadParameterError otherwise."""
+    if not isinstance(value, numbers.Integral):
+        raise BadParameterError(f"{name} must be an integer")
+    return value
+
+
 def as_generator(seed, **sizes: int) -> np.random.Generator:
     """Accept an int seed, a SeedSequence or a Generator and return a Generator.
 
     Every random generator enters here and names the dimensions and counts
-    it draws with as keywords; one below 1 raises BadParameterError.
+    it draws with as keywords; one that is not an integer, or is below 1,
+    raises BadParameterError.
     """
     for name, value in sizes.items():
-        if value < 1:
+        if _integer(name, value) < 1:
             raise BadParameterError(f"{name} must be positive")
     if isinstance(seed, np.random.Generator):
         return seed
@@ -317,6 +326,8 @@ class BipartiteState:
 
 
 def bipartite(state, dim_a: int, dim_b: int) -> BipartiteState:
+    _integer("dim_a", dim_a)
+    _integer("dim_b", dim_b)
     rho = state if isinstance(state, DensityMatrix) else validate_density(state)
     if rho.dim != dim_a * dim_b:
         raise DimMismatchError(f"state dimension {rho.dim} is not {dim_a}*{dim_b}")
@@ -367,7 +378,7 @@ def make_povm(effects) -> Povm:
 def random_density(dim: int, rank: int | None = None, seed=0) -> DensityMatrix:
     """G G^dag / Tr with G a seeded dim x rank complex Gaussian matrix."""
     rng = as_generator(seed, dim=dim)
-    rank = dim if rank is None else int(rank)
+    rank = dim if rank is None else int(_integer("rank", rank))
     if not 1 <= rank <= dim:
         raise BadParameterError(f"rank must lie in [1, {dim}]")
     g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
@@ -392,7 +403,7 @@ def random_unitary(dim: int, seed=0) -> np.ndarray:
 def random_observable(dim: int, profile, seed=0) -> Observable:
     """Random observable whose eigenspace dimensions follow the profile."""
     rng = as_generator(seed, dim=dim)
-    profile = tuple(int(p) for p in profile)
+    profile = tuple(int(_integer(f"profile entry {p!r}", p)) for p in profile)
     if any(p < 1 for p in profile) or sum(profile) != dim:
         raise BadProfileError(f"profile {profile} does not sum to dim={dim}")
     u = random_unitary(dim, rng)

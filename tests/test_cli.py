@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import re
 import subprocess
 import sys
 import time
@@ -346,3 +347,143 @@ def test_gen_rejects_sizes_below_one(tmp_path, flags, message):
     assert code == 3 and text == ""
     assert err == f"validation error: {message}\n"
     assert not out.exists()
+
+
+def test_evolve_refuses_out_with_json(tmp_path):
+    chan = tmp_path / "chan.json"
+    state = tmp_path / "state.json"
+    out = tmp_path / "path.csv"
+    serialize.save(chan, channels.phase_damping(0.75))
+    serialize.save(state, states.validate_density(np.full((2, 2), 0.5)))
+    # the JSON document used to be printed and the CSV silently not written
+    with pytest.raises(SystemExit) as exc, contextlib.redirect_stderr(io.StringIO()) as err:
+        cli.main(["evolve", str(chan), str(state), "--steps", "2", "--json", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in err.getvalue()
+    assert not out.exists()
+
+
+# (flags, generator the kind draws with, entries the instance holds)
+GEN_ABOVE_THE_BOUND = {
+    "state": (["state", "--dim", "4097"], (states, "random_density"), 4097**2),
+    "observable": (["observable", "--dim", "257"], (states, "random_observable"), 257**3),
+    "povm": (["povm", "--dim", "2048", "--effects", "5"], (states, "random_povm"), 5 * 2048**2),
+    "bipartite": (["bipartite", "--dims", "64,65"], (states, "random_bipartite"), (64 * 65)**2),
+    "gio": (["channel", "--family", "gio", "--dim", "2048", "--kraus", "5"],
+            (channels, "random_gio"), 5 * 2048**2),
+    "sio": (["channel", "--family", "sio", "--dim", "4096", "--kraus", "2"],
+            (channels, "random_sio"), 2 * 4096**2),
+    "io": (["channel", "--family", "io", "--dim", "257"], (channels, "random_io"), 257**3),
+    "mixed_unitary": (["channel", "--family", "mixed_unitary", "--dim", "1025", "--kraus", "16"],
+                      (channels, "random_mixed_unitary"), 16 * 1025**2),
+}
+
+
+@pytest.mark.parametrize("flags, generator, entries", GEN_ABOVE_THE_BOUND.values(),
+                         ids=GEN_ABOVE_THE_BOUND.keys())
+def test_gen_rejects_instances_above_the_bound(tmp_path, monkeypatch, flags, generator, entries):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("the instance was drawn")
+
+    monkeypatch.setattr(*generator, no_draw)
+    out = tmp_path / "x.json"
+    code, text, err = run_cli("gen", *flags, "--out", str(out))
+    assert code == 3 and text == ""
+    assert err == (f"validation error: gen {flags[0]} would hold {entries} entries,"
+                   f" above the gen limit {2**24}\n")
+    assert not out.exists()
+
+
+def test_gen_accepts_instances_at_the_bound(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "MAX_ENTRIES", 9)
+    out = tmp_path / "x.json"
+    code, text, _ = run_cli("gen", "state", "--dim", "3", "--out", str(out))
+    assert code == 0 and text == f"wrote {out}\n"
+    code, _, err = run_cli("gen", "observable", "--dim", "3", "--profile", "2,1", "--out", str(out))
+    assert code == 3 and "gen observable would hold 18 entries" in err
+
+
+FMT_NUMBER = re.compile(r"-?\d\.\d{12}e[+-]\d{2,}")
+MATRIX_CELL = re.compile(r"[+-]\d+\.\d{6}[+-]\d+\.\d{6}j")
+
+
+def _json_numbers(doc, floats, cells):
+    """Append, in document order, _fmt of every float of a --json document to
+    floats and the text cell of every complex entry to cells."""
+    if isinstance(doc, dict):
+        if doc.get("type") == "matrix":
+            cells += [cli._cell(complex(re_, im)) for re_, im in doc["entries"]]
+            return
+        for key, value in doc.items():
+            if key == "diagonal":
+                cells += [cli._cell(complex(re_, im)) for re_, im in value]
+            else:
+                _json_numbers(value, floats, cells)
+    elif isinstance(doc, list):
+        for value in doc:
+            _json_numbers(value, floats, cells)
+    elif isinstance(doc, float):
+        floats.append(cli._fmt(doc))
+
+
+TEXT_AND_JSON = {
+    "measure": ["measure", "state", "obs"],
+    "measure-optimal": ["measure", "state", "obs", "--optimal"],
+    "classify-gio": ["classify", "gio"],
+    "classify-sio": ["classify", "sio"],
+    "classify-io": ["classify", "io"],
+    "dilate": ["dilate", "sio", "--out", "model"],
+    "evolve": ["evolve", "gio", "state", "--steps", "5"],
+    "discord": ["discord", "bip", "obsb"],
+}
+
+
+@pytest.mark.parametrize("names", TEXT_AND_JSON.values(), ids=TEXT_AND_JSON.keys())
+def test_text_renders_the_json_document(tmp_path, names):
+    gen = {
+        "state": ["state", "--dim", "4"],
+        "obs": ["observable", "--dim", "4", "--profile", "2,1,1"],
+        "gio": ["channel", "--family", "gio", "--dim", "4", "--kraus", "2"],
+        "sio": ["channel", "--family", "sio", "--dim", "4", "--kraus", "2"],
+        "io": ["channel", "--family", "io", "--dim", "4"],
+        "bip": ["bipartite", "--dims", "2,2"],
+        "obsb": ["observable", "--dim", "2"],
+    }
+    for name, flags in gen.items():
+        assert run_cli("gen", *flags, "--seed", "3", "--out", str(tmp_path / f"{name}.json"))[0] == 0
+    argv = [str(tmp_path / f"{n}.json") if n in gen or n == "model" else n for n in names]
+    code, text, _ = run_cli(*argv)
+    assert code == 0
+    code, out, _ = run_cli(*argv, "--json")
+    assert code == 0
+    doc = json.loads(out)
+    floats, cells = [], []
+    _json_numbers(doc, floats, cells)
+    assert floats or cells
+    assert FMT_NUMBER.findall(text) == floats
+    assert MATRIX_CELL.findall(text) == cells
+    if names[0] == "evolve":
+        steps = [int(line.split(",")[0]) for line in text.splitlines()[1:]]
+        assert steps == [row["step"] for row in doc["rows"]] == list(range(6))
+    if names[0] == "dilate":
+        assert text.startswith(f"system dim {doc['system_dim']}, apparatus dim {doc['ancilla_dim']}\n")
+
+
+def test_parser_is_built_once_per_process(tmp_path):
+    # two commands in one fresh process: argparse is counted from the outside
+    script = (
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counted(self, *args, **kwargs):\n"
+        "    built.append(kwargs.get('prog'))\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counted\n"
+        "from cohkit import cli\n"
+        f"for out in ({str(tmp_path / 'a.json')!r}, {str(tmp_path / 'b.json')!r}):\n"
+        "    assert cli.main(['gen', 'state', '--out', out]) == 0\n"
+        "print(built.count('cohkit'))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "1"

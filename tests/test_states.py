@@ -297,3 +297,21 @@ GENERATORS = {
 def test_generators_reject_sizes_below_one(draw, size):
     with pytest.raises(BadParameterError, match="must be positive"):
         draw(size)
+
+
+NON_INTEGER_SIZES = {
+    "density-dim": (lambda: states.random_density(2.5), "dim"),
+    "density-rank": (lambda: states.random_density(3, rank=2.5), "rank"),
+    "gio-dim": (lambda: channels.random_gio(2.5, 2), "dim"),
+    "povm-effects": (lambda: states.random_povm(2, 2.5), "n_effects"),
+    "observable-profile": (lambda: states.random_observable(4, (2.5, 2.5)), "profile entry 2.5"),
+    "bipartite-dims": (lambda: states.bipartite(np.eye(4) / 4, 2.5, 1.6), "dim_a"),
+    "random-bipartite-dim": (lambda: states.random_bipartite(2, 2.0), "dim_b"),
+}
+
+
+@pytest.mark.parametrize("call, name", NON_INTEGER_SIZES.values(), ids=NON_INTEGER_SIZES.keys())
+def test_sizes_must_be_integers(call, name):
+    # numpy used to raise its own TypeError, or int() truncated the size
+    with pytest.raises(BadParameterError, match=f"^{name} must be an integer$"):
+        call()
