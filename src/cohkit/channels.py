@@ -27,7 +27,7 @@ from .errors import (
     NotUnitalError,
     ShapeMismatchError,
 )
-from .states import DensityMatrix, _read_only, as_generator, random_unitary
+from .states import DensityMatrix, _integer, _read_only, as_generator, random_unitary
 
 GIO = "GIO"
 SIO_NOT_GIO = "SIO-not-GIO"
@@ -90,10 +90,10 @@ def apply_to_operator(ch: KrausChannel, x) -> np.ndarray:
     m = linalg.as_square(x)
     if m.shape[0] != ch.dim:
         raise DimMismatchError("operator and channel dimensions differ")
-    out = np.zeros_like(m, dtype=complex)
-    for k in ch.kraus:
-        out += k @ m @ k.conj().T
-    return out
+    ks = ch.kraus
+    # np.sum adds the products in Kraus order onto +0, as `out += K X K^dag`
+    # per operator would: the same bits, signed zeros included
+    return np.sum(ks @ m @ ks.conj().transpose(0, 2, 1), axis=0)
 
 
 def apply_channel(ch: KrausChannel, rho):
@@ -293,7 +293,7 @@ def channel_superoperator(ch: KrausChannel) -> np.ndarray:
     d = ch.dim
     s = np.zeros((d * d, d * d), dtype=complex)
     for k in ch.kraus:
-        s += np.kron(k, k.conj())
+        s += linalg._kron(k, k.conj())
     return s
 
 
@@ -309,7 +309,7 @@ def commutant(ch: KrausChannel) -> list[np.ndarray]:
         raise NotUnitalError("the commutant equals the fixed points only for unital channels")
     d = ch.dim
     eye = np.eye(d)
-    a = np.vstack([np.kron(eye, m.T) - np.kron(m, eye)
+    a = np.vstack([linalg._kron(eye, m.T) - linalg._kron(m, eye)
                    for k in ch.kraus for m in (k, k.conj().T)])
     _, s, vh = np.linalg.svd(a, full_matrices=False)
     rank = int(np.sum(s > linalg.NULL_TOL))
@@ -356,7 +356,7 @@ def fixed_point_check(ch: KrausChannel, x) -> FixedPointResult:
 def evolve_path(ch: KrausChannel, rho, n: int) -> list[DensityMatrix]:
     """States after 0..n applications. Diagonal-Kraus channels step through
     their Schur form, so entry (i, j) follows the exact power law C_ji^n rho_ij."""
-    if n < 0:
+    if _integer("step count", n) < 0:
         raise BadParameterError("step count must be nonnegative")
     if not ch.trace_preserving:
         raise NotTracePreservingError("evolution is defined for channels")

@@ -3,8 +3,9 @@
 Subcommands: measure, classify, dilate, evolve, discord, verify, gen.
 Every command is a pure function of its input files, flags and seed; reports
 carry no timing or machine state. A command returns one result: its --json
-document and the text lines rendered from the same values, and main prints
-one of the two. Exit codes: 0 ok, 1 verify-property failure, 2 parse error,
+document and an iterable of the text lines rendered from the same values,
+and main prints one of the two. Lines may be lazy, so a --json run never
+renders them. Exit codes: 0 ok, 1 verify-property failure, 2 parse error,
 3 validation error.
 """
 
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import sys
 
@@ -36,8 +38,9 @@ def _cell(z) -> str:
     return f"{z.real:+.6f}{z.imag:+.6f}j"
 
 
-def _matrix_lines(m: np.ndarray) -> list[str]:
-    return [f"  [ {'  '.join(map(_cell, row))} ]" for row in np.atleast_2d(m)]
+def _matrix_lines(m: np.ndarray):
+    # lazy: main renders the lines only when it prints them, never under --json
+    return (f"  [ {'  '.join(map(_cell, row))} ]" for row in np.atleast_2d(m))
 
 
 def _labelled(rows) -> tuple[dict, list[str]]:
@@ -67,36 +70,42 @@ def _cmd_measure(args):
         ("hierarchy gap", "hierarchy_gap", coherence.hierarchy_gap(rho, obs, fg)),
     ])
     doc = {"born_probabilities": probs, "luders_image": pinched, **values}
-    return doc, [
-        "born probabilities: " + "  ".join(map(_fmt, probs)),
-        "post-measurement state (nonselective):",
-        *_matrix_lines(pinched.matrix),
-        *lines,
-    ]
+    return doc, itertools.chain(
+        ["born probabilities: " + "  ".join(map(_fmt, probs)),
+         "post-measurement state (nonselective):"],
+        _matrix_lines(pinched.matrix),
+        lines,
+    )
 
 
 def _cmd_classify(args):
     ch = serialize.load(args.channel, expect="channel")
     basis = serialize.load(args.basis, expect="matrix") if args.basis else None
     label, form = channels._incoherent_form(ch, basis)
-    doc, lines = {"class": label}, [f"class: {label}"]
+    doc = {"class": label}
     if label == channels.GIO:
-        doc["correlation_matrix"] = corr = channels.correlation_matrix_of(ch, basis).matrix
-        lines += ["correlation matrix:", *_matrix_lines(corr)]
+        doc["correlation_matrix"] = channels.correlation_matrix_of(ch, basis).matrix
     if form is not None:
         f, c = form
-        doc["factors"] = []
-        for n, (mapping, diag) in enumerate(zip(f.tolist(), c)):
-            kind = channels.IndexMap(mapping=tuple(mapping)).kind
-            doc["factors"].append({
-                "kind": kind,
-                "mapping": mapping,
-                "diagonal": [[float(z.real), float(z.imag)] for z in diag],
-            })
-            lines.append(f"kraus {n}: {kind} {mapping}  diagonal [ {'  '.join(map(_cell, diag))} ]")
-        doc["completeness"] = complete = channels._completeness(f, c)
-        lines.append(f"completeness constraint satisfied: {'yes' if complete else 'no'}")
-    return doc, lines
+        doc["factors"] = [{
+            "kind": channels.IndexMap(mapping=tuple(mapping)).kind,
+            "mapping": mapping,
+            "diagonal": [[float(z.real), float(z.imag)] for z in diag],
+        } for mapping, diag in zip(f.tolist(), c)]
+        doc["completeness"] = channels._completeness(f, c)
+
+    def lines():
+        yield f"class: {label}"
+        if label == channels.GIO:
+            yield "correlation matrix:"
+            yield from _matrix_lines(doc["correlation_matrix"])
+        if form is not None:
+            for n, (factor, diag) in enumerate(zip(doc["factors"], form[1])):
+                yield (f"kraus {n}: {factor['kind']} {factor['mapping']}"
+                       f"  diagonal [ {'  '.join(map(_cell, diag))} ]")
+            yield f"completeness constraint satisfied: {'yes' if doc['completeness'] else 'no'}"
+
+    return doc, lines()
 
 
 def _round_trip_residual(model, ch) -> float:

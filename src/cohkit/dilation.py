@@ -32,7 +32,7 @@ from .errors import (
     NotIsometryError,
     UnsupportedClassError,
 )
-from .states import Observable
+from .states import Observable, _integer
 
 
 @dataclass(eq=False)
@@ -54,12 +54,12 @@ class DilationModel:
             raise BadDimensionError("joint unitary does not match system x apparatus")
         if linalg.orthonormality_defect(u) > linalg.DEFAULT_TOL:
             raise InvalidModelError("joint operator is not unitary within tolerance")
-        init = np.asarray(self.apparatus_init, dtype=complex)
+        init = linalg._finite(np.asarray(self.apparatus_init, dtype=complex), "apparatus init")
         if init.shape != (d_a,):
             raise BadDimensionError("apparatus init vector has the wrong length")
         if abs(np.linalg.norm(init) - 1.0) > linalg.DEFAULT_TOL:
             raise InvalidModelError("apparatus init vector is not normalized")
-        basis = np.asarray(self.readout_basis, dtype=complex)
+        basis = linalg._finite(np.asarray(self.readout_basis, dtype=complex), "readout basis")
         if basis.ndim != 2 or basis.shape[0] != d_a or basis.shape[1] > d_a:
             raise BadDimensionError("readout basis has the wrong shape")
         if linalg.orthonormality_defect(basis) > linalg.DEFAULT_TOL:
@@ -86,8 +86,8 @@ def householder_unitary(source, target) -> np.ndarray:
     whose norm is bounded below by sqrt(2), so no cancellation occurs even
     when the overlap approaches -1.
     """
-    u = np.asarray(source, dtype=complex)
-    v = np.asarray(target, dtype=complex)
+    u = linalg._finite(np.asarray(source, dtype=complex), "householder vector")
+    v = linalg._finite(np.asarray(target, dtype=complex), "householder vector")
     if u.shape != v.shape or u.ndim != 1:
         raise BadDimensionError("source and target must be equal-length vectors")
     for x in (u, v):
@@ -118,14 +118,14 @@ def extend_to_unitary(v: np.ndarray, apparatus_init) -> np.ndarray:
     range of V and A the apparatus complement of |a_0>, each the trailing
     columns of one complete QR factorization.
     """
-    v = np.asarray(v, dtype=complex)
+    v = linalg._finite(np.asarray(v, dtype=complex), "V")
     if v.ndim != 2:
         raise BadDimensionError("V must be a matrix")
     total, d_s = v.shape
     if total % d_s != 0:
         raise BadDimensionError("V must map the system into system x apparatus")
     d_a = total // d_s
-    init = np.asarray(apparatus_init, dtype=complex)
+    init = linalg._finite(np.asarray(apparatus_init, dtype=complex), "apparatus init")
     if init.shape != (d_a,):
         raise BadDimensionError("apparatus init vector has the wrong length")
     if abs(np.linalg.norm(init) - 1.0) > linalg.DEFAULT_TOL:
@@ -133,8 +133,9 @@ def extend_to_unitary(v: np.ndarray, apparatus_init) -> np.ndarray:
     if linalg.orthonormality_defect(v) > linalg.DEFAULT_TOL:
         raise NotIsometryError("V is not an isometry within tolerance")
     eye_s = np.eye(d_s, dtype=complex)
-    domain = np.kron(eye_s, _orthogonal_complement(init[:, None]))
-    return v @ np.kron(eye_s, init[:, None]).conj().T + _orthogonal_complement(v) @ domain.conj().T
+    domain = linalg._kron(eye_s, _orthogonal_complement(init[:, None]))
+    embed = linalg._kron(eye_s, init[:, None])
+    return v @ embed.conj().T + _orthogonal_complement(v) @ domain.conj().T
 
 
 def _stacked_isometry(ops) -> np.ndarray:
@@ -210,7 +211,7 @@ def dilate_gio(ch: KrausChannel, basis=None) -> DilationModel:
     u = np.zeros((d * d_a, d * d_a), dtype=complex)
     for i in range(d):
         col = b[:, i:i + 1]
-        u += np.kron(col @ col.conj().T, householder_unitary(init, vectors[:, i]))
+        u += linalg._kron(col @ col.conj().T, householder_unitary(init, vectors[:, i]))
     return _pointer_model(u, d)
 
 
@@ -231,7 +232,7 @@ def dilate(ch: KrausChannel, basis=None) -> DilationModel:
 
 def generalized_cnot(dim: int) -> np.ndarray:
     """sum_n |n><n| (x) X^n with X the cyclic shift; entries exactly 0 or 1."""
-    if dim < 2:
+    if _integer("dim", dim) < 2:
         raise BadDimensionError("dim must be at least 2")
     shift = np.roll(np.eye(dim, dtype=complex), 1, axis=0)
     u = np.zeros((dim * dim, dim * dim), dtype=complex)
@@ -239,6 +240,6 @@ def generalized_cnot(dim: int) -> np.ndarray:
     for n in range(dim):
         e_n = np.zeros((dim, dim), dtype=complex)
         e_n[n, n] = 1.0
-        u += np.kron(e_n, power)
+        u += linalg._kron(e_n, power)
         power = shift @ power
     return u

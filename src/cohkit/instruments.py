@@ -22,6 +22,7 @@ from .states import (
     FineGraining,
     Observable,
     Povm,
+    _integer,
     _normalized_gram,
     as_generator,
     fine_graining,
@@ -64,7 +65,7 @@ def luders_outcome(rho, obs: Observable, n: int) -> tuple[float, DensityMatrix]:
     ZeroProbabilityOutcomeError.
     """
     r = linalg.as_square(rho)
-    if not 0 <= n < obs.n_outcomes:
+    if not 0 <= _integer("outcome", n) < obs.n_outcomes:
         raise BadParameterError(f"outcome {n} is out of range")
     p_n = obs.projectors[n]
     prob = float(np.real(np.trace(p_n @ r)))

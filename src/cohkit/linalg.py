@@ -106,7 +106,7 @@ def basis_matrix(basis, dim: int) -> np.ndarray:
 
     ``basis`` is a matrix or an object with a ``.basis`` (a fine-graining).
     """
-    b = np.asarray(getattr(basis, "basis", basis), dtype=complex)
+    b = _finite(np.asarray(getattr(basis, "basis", basis), dtype=complex), "basis")
     if dim == 0:
         raise ShapeMismatchError("a basis needs at least one vector")
     if b.shape != (dim, dim):
@@ -153,7 +153,14 @@ def schur_product(a, b) -> np.ndarray:
 
 def tensor(a, b) -> np.ndarray:
     """Kronecker product, first factor on the left (slowest index)."""
-    return np.kron(as_matrix(a), as_matrix(b))
+    return _kron(as_matrix(a), as_matrix(b))
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # np.kron of two 2-D arrays: the same products a[i, j] * b[k, l], so the
+    # same bits, without np.kron's general-rank shape handling
+    (p, q), (r, s) = a.shape, b.shape
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(p * r, q * s)
 
 
 def partial_trace(m, dims: tuple[int, int], keep: int) -> np.ndarray:
@@ -244,12 +251,15 @@ def von_neumann_entropy(rho) -> float:
     return float(-np.sum(pos * np.log2(pos)))
 
 
-def _relative_entropy_core(rho: np.ndarray, sigma: np.ndarray, sigma_eigs=None) -> float:
+def _relative_entropy_core(
+    rho: np.ndarray, sigma: np.ndarray, sigma_eigs=None, rho_eigs=None
+) -> float:
     # S(rho||sigma) with sigma allowed to be sub-normalized (PSD, trace <= 1).
     # Returns +inf when supp(rho) is not contained in supp(sigma). A caller
     # that has checked sigma passes its clamped eigenvalues and eigenvectors
-    # as sigma_eigs, so sigma is not diagonalized a second time.
-    wr, _ = _clamped_density_eigs(rho)
+    # as sigma_eigs, and one that has checked rho its clamped eigenvalues as
+    # rho_eigs, so neither is diagonalized a second time.
+    wr = _clamped_density_eigs(rho)[0] if rho_eigs is None else rho_eigs
     if sigma_eigs is None:
         spec = hermitian_eig(sigma)
         _require_psd(spec.eigenvalues, InvalidStateError, "second argument has ")

@@ -141,7 +141,7 @@ class Observable:
         return cols
 
     def validate(self) -> "Observable":
-        vals = np.asarray(self.eigenvalues, dtype=float)
+        vals = linalg._finite(np.asarray(self.eigenvalues, dtype=float), "eigenvalue")
         if vals.ndim != 1 or len(self.projectors) != vals.size:
             raise ShapeMismatchError("eigenvalue/projector count mismatch")
         if not self.projectors:
@@ -285,7 +285,7 @@ def fine_graining(obs: Observable, blocks=None) -> FineGraining:
     if blocks is None:
         blocks = tuple(obs.block_basis(n) for n in range(obs.n_outcomes))
     else:
-        blocks = tuple(np.asarray(b, dtype=complex) for b in blocks)
+        blocks = tuple(linalg._finite(np.asarray(b, dtype=complex), "block") for b in blocks)
         if len(blocks) != obs.n_outcomes:
             raise BadProfileError("one block of vectors per outcome is required")
         for n, (b, p, d_n) in enumerate(zip(blocks, obs.projectors, obs.degeneracies)):

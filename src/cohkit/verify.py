@@ -230,11 +230,16 @@ def _check_pythagorean_identity(rng, cfg, t):
     rho = states.random_density(d, seed=rng)
     pinched = instruments.luders(rho, obs)
     middle = linalg.relative_entropy(rho.matrix, pinched.matrix)
+    # the kernel of relative_entropy on one spectrum per matrix: rho's and
+    # the pinched state's from here, each sigma's from the loop
+    wr = linalg._clamped_density_eigs(rho.matrix)[0]
+    wp = linalg._clamped_density_eigs(pinched.matrix)[0]
     # the relative entropies draw nothing, so drawing all ten first keeps the stream
     residuals = []
     for sigma in instruments._random_block_diagonal_stack(obs, 10, rng):
-        total = linalg.relative_entropy(rho.matrix, sigma)
-        tail = linalg.relative_entropy(pinched.matrix, sigma)
+        sigma_eigs = linalg._clamped_density_eigs(sigma)
+        total = linalg._relative_entropy_core(rho.matrix, sigma, sigma_eigs, wr)
+        tail = linalg._relative_entropy_core(pinched.matrix, sigma, sigma_eigs, wp)
         residuals.append(abs(total - middle - tail))
     return _worst(*residuals)
 

@@ -376,3 +376,33 @@ def test_stack_factoring_reports_the_first_bad_operator_and_column():
         channels._factor_stack(np.array([good, bad, bad.T]))
     with pytest.raises(NotIOFormError, match="^column 0 has 2 nonzero entries$"):
         channels._factor_stack(np.array([good, bad.T, bad]))
+
+
+def _action_loop(ks, m):
+    # the per-operator oracle: K X K^dag added one at a time onto zeros
+    out = np.zeros_like(m, dtype=complex)
+    for k in ks:
+        out += k @ m @ k.conj().T
+    return out
+
+
+@pytest.mark.parametrize("d", [2, 3, 8, 16, 64])
+def test_batched_action_is_bit_identical_to_the_operator_loop(d):
+    rng = np.random.default_rng(100 + d)
+    cases = [
+        channels.random_gio(d, 3, rng),
+        channels.random_sio(d, 3, rng),
+        channels.random_io(d, rng),
+        channels.random_mixed_unitary(d, 3, rng),
+        # not trace preserving: the Kraus sum of an operation
+        channels.kraus_channel([0.5 * k for k in channels.random_sio(d, 2, rng).kraus]),
+    ]
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    signed = np.where(rng.random((d, d)) < 0.5, -0.0, rng.standard_normal((d, d))) + 0j
+    operators = [states.random_density(d, seed=rng).matrix, g, signed, np.full((d, d), -0.0 - 0.0j)]
+    for ch in cases:
+        for m in operators:
+            got, want = channels.apply_to_operator(ch, m), _action_loop(ch.kraus, m)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got.view(float), want.view(float))
+            assert np.array_equal(np.signbit(got.view(float)), np.signbit(want.view(float)))

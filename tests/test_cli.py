@@ -487,3 +487,37 @@ def test_parser_is_built_once_per_process(tmp_path):
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "1"
+
+
+@pytest.mark.parametrize("command", [["classify"], ["dilate", "--out", "MODEL"]],
+                         ids=["classify", "dilate"])
+def test_non_finite_basis_file_is_a_validation_error(tmp_path, command):
+    channel, basis, model = tmp_path / "g3.json", tmp_path / "nan.json", tmp_path / "model.json"
+    assert run_cli("gen", "channel", "--dim", "3", "--out", str(channel))[0] == 0
+    # the json module reads and writes NaN, so a file can hold it
+    basis.write_text(json.dumps({"type": "matrix", "dim": [3, 3], "entries": [[math.nan] * 2] * 9}))
+    argv = [str(model) if a == "MODEL" else a for a in command]
+    code, out, err = run_cli(argv[0], str(channel), *argv[1:], "--basis", str(basis))
+    assert (code, out) == (3, "")
+    assert err == "validation error: basis entries must be finite\n"
+    assert not model.exists()
+
+
+def test_json_output_renders_no_text_lines(tmp_path, monkeypatch):
+    state, obs, gio = (tmp_path / f"{n}.json" for n in ("state", "obs", "gio"))
+    run_cli("gen", "state", "--dim", "4", "--seed", "1", "--out", str(state))
+    run_cli("gen", "observable", "--dim", "4", "--profile", "2,1,1", "--seed", "2",
+            "--out", str(obs))
+    run_cli("gen", "channel", "--family", "gio", "--dim", "4", "--seed", "3", "--out", str(gio))
+    commands = [["measure", str(state), str(obs), "--json"], ["classify", str(gio), "--json"]]
+    expect = [run_cli(*argv) for argv in commands]
+
+    def no_cells(z):
+        raise AssertionError("a matrix cell was rendered under --json")
+
+    monkeypatch.setattr(cli, "_cell", no_cells)
+    for argv, want in zip(commands, expect):
+        assert want[0] == 0
+        assert run_cli(*argv) == want
+    with pytest.raises(AssertionError, match="rendered under --json"):
+        run_cli("classify", str(gio))

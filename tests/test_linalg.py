@@ -164,3 +164,33 @@ def test_partial_trace_rejects_non_integer_dimensions(dims):
         linalg.partial_trace(m, dims, keep=0)
     # numpy integers are integers
     assert np.array_equal(linalg.partial_trace(m, (np.int64(2), 2), keep=0), np.eye(2) / 2.0)
+
+
+def _signed(rng, shape, dtype):
+    # random entries, about a third of them -0.0, in both parts if complex
+    a = rng.standard_normal(shape)
+    a[rng.random(shape) < 0.3] = -0.0
+    if dtype is complex:
+        b = rng.standard_normal(shape)
+        b[rng.random(shape) < 0.3] = -0.0
+        a = a + 1j * b
+    return a
+
+
+@pytest.mark.parametrize("shape_a, shape_b", [
+    ((3, 3), (4, 4)), ((2, 3), (3, 2)), ((4, 1), (3, 1)), ((1, 3), (2, 2)), ((2, 2), (5, 1)),
+], ids=["square", "rectangular", "columns", "row-by-square", "square-by-column"])
+@pytest.mark.parametrize("dtype_a, dtype_b", [(complex, complex), (float, complex), (float, float)])
+def test_kron_kernel_is_bit_identical_to_np_kron(shape_a, shape_b, dtype_a, dtype_b):
+    rng = np.random.default_rng([*shape_a, *shape_b])
+    a, b = _signed(rng, shape_a, dtype_a), _signed(rng, shape_b, dtype_b)
+    # transposed views too, as commutant passes them
+    for x, y in ((a, b), (a.T, b.T)):
+        want = np.kron(x, y)
+        words = want.view(float)
+        assert np.signbit(words[words == 0.0]).any()  # the signed zeros are there
+        got = linalg._kron(x, y)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        complex_want = np.kron(x.astype(complex), y.astype(complex))
+        assert linalg.tensor(x, y).tobytes() == complex_want.tobytes()

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from cohkit import channels, instruments, linalg, states
+from cohkit import channels, dilation, instruments, linalg, states
 from cohkit.errors import (
     AmbiguousGroupingError,
     BadParameterError,
@@ -314,4 +314,49 @@ NON_INTEGER_SIZES = {
 def test_sizes_must_be_integers(call, name):
     # numpy used to raise its own TypeError, or int() truncated the size
     with pytest.raises(BadParameterError, match=f"^{name} must be an integer$"):
+        call()
+
+
+RHO2 = np.diag([0.75, 0.25]).astype(complex)
+OBS2 = states.observable_from_projectors([1.0, -1.0], [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+NON_INTEGER_COUNTS = {
+    "evolve-steps": (lambda: channels.evolve_path(channels.phase_damping(0.5), RHO2, 2.5),
+                     "step count"),
+    "iterate-steps": (lambda: channels.iterate_channel(channels.phase_damping(0.5), RHO2, "3"),
+                      "step count"),
+    "luders-outcome": (lambda: instruments.luders_outcome(RHO2, OBS2, 0.5), "outcome"),
+    "cnot-dim": (lambda: dilation.generalized_cnot(2.5), "dim"),
+}
+
+
+@pytest.mark.parametrize("call, name", NON_INTEGER_COUNTS.values(), ids=NON_INTEGER_COUNTS.keys())
+def test_counts_and_indices_must_be_integers(call, name):
+    # numpy or Python used to raise a TypeError from inside the loop or index
+    with pytest.raises(BadParameterError, match=f"^{name} must be an integer$"):
+        call()
+
+
+NAN2 = np.full((2, 2), np.nan)
+NON_FINITE_INPUTS = {
+    "basis": lambda: linalg.basis_matrix(NAN2, 2),
+    "fine-graining-block": lambda: states.fine_graining(OBS2, (NAN2[:, :1], np.eye(2)[:, 1:])),
+    "observable-eigenvalue": lambda: states.observable_from_projectors(
+        [np.nan, 0.0], list(OBS2.projectors)),
+    "observable-validate": lambda: states.Observable(
+        np.array([1.0, np.inf]), OBS2.projectors, OBS2.degeneracies).validate(),
+    "householder-source": lambda: dilation.householder_unitary([np.nan, 0.0], [1.0, 0.0]),
+    "householder-target": lambda: dilation.householder_unitary([1.0, 0.0], [0.0, np.inf]),
+    "extend-isometry": lambda: dilation.extend_to_unitary(np.full((4, 2), np.nan), [1.0, 0.0]),
+    "extend-init": lambda: dilation.extend_to_unitary(np.eye(4)[:, :2], [np.nan, 0.0]),
+    "model-init": lambda: dilation.DilationModel(
+        2, 2, np.array([np.nan, 0.0]), np.eye(4), np.eye(2)).validate(),
+    "model-readout": lambda: dilation.DilationModel(
+        2, 2, np.array([1.0, 0.0]), np.eye(4), NAN2).validate(),
+}
+
+
+@pytest.mark.parametrize("call", NON_FINITE_INPUTS.values(), ids=NON_FINITE_INPUTS.keys())
+def test_non_finite_entries_are_rejected(call):
+    # a NaN fails no `defect > tol` comparison, so each input used to pass
+    with pytest.raises(BadParameterError, match="entries must be finite$"):
         call()

@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import io
 import math
@@ -121,3 +122,25 @@ def test_run_all_reads_the_registry_when_called(monkeypatch):
     results = verify.run_all(VerifyConfig(seed=4))
     assert [r.name for r in results] == ["a", "b"]
     assert seen == [("b", (0,)), ("a", (1,))]
+
+
+def test_pythagorean_trial_diagonalizes_each_matrix_once(eig_calls, monkeypatch):
+    seen = []
+    counted = linalg.hermitian_eig
+
+    def recorded(m):
+        seen.append(np.asarray(m).tobytes())
+        return counted(m)
+
+    monkeypatch.setattr(linalg, "hermitian_eig", recorded)
+    trial = verify._check_pythagorean_identity.__wrapped__
+    rng, cfg = np.random.default_rng(0), VerifyConfig()
+    for t in range(20):
+        eig_calls.clear()
+        seen.clear()
+        assert trial(rng, cfg, t) <= 1e-8
+        # rho and the pinched state twice: inside relative_entropy and once
+        # for the kernel; each sigma once. Each was diagonalized 11 times before
+        assert max(collections.Counter(seen).values()) <= 2, t
+        if t == 0:
+            assert len(eig_calls) <= 17  # 44 before
