@@ -10,6 +10,7 @@ one.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,7 +78,7 @@ def kraus_channel(ops) -> KrausChannel:
     total = np.sum(ks_dag @ ks, axis=0)
     tp = bool(np.max(np.abs(total - np.eye(d))) <= linalg.DEFAULT_TOL)
     if not tp:
-        w = linalg.hermitian_eig(linalg.hermitize(total)).eigenvalues
+        w = linalg.hermitian_eigvals(linalg.hermitize(total))
         if w.max(initial=0.0) > 1.0 + linalg.DEFAULT_TOL:
             raise BadParameterError("sum K^dag K exceeds the identity: not an operation")
     dual = np.sum(ks @ ks_dag, axis=0)
@@ -110,6 +111,8 @@ def apply_channel(ch: KrausChannel, rho):
 
 def phase_damping(p: float) -> KrausChannel:
     """Qubit phase damping: off-diagonals shrink by the factor 2p - 1."""
+    if isinstance(p, bool) or not isinstance(p, numbers.Real):
+        raise BadParameterError(f"p must be a real number, got {p!r}")
     if not 0.0 <= p <= 1.0:
         raise BadParameterError(f"p must lie in [0, 1], got {p}")
     k0 = np.sqrt(p) * np.eye(2, dtype=complex)

@@ -4,6 +4,21 @@ All entropic quantities are in bits (log base 2). Eigenvalues within
 ``EIG_CLAMP`` of zero are clamped to exactly zero before any logarithm is
 taken, so rank-deficient states are handled without sign noise.
 
+Two eigen kernels share one input check (square, finite, Hermitian within
+``DEFAULT_TOL``). ``hermitian_eig`` returns eigenvalues and eigenvectors
+(LAPACK ``eigh``); it serves the callers that use the vectors: the second
+argument of every relative entropy, ``Observable.block_basis``,
+``spectral_decompose``, ``optimal_fine_grain``, ``generalized_luders``,
+``random_povm`` and ``gio_from_correlation``. ``hermitian_eigvals`` returns
+the eigenvalues alone (LAPACK ``eigvalsh``, which skips building the
+vectors); it serves every caller that needs only a spectrum:
+``von_neumann_entropy``, the first argument of a relative entropy, the
+density check behind ``validate_density``, ``DensityMatrix.eigenvalues``,
+``make_povm``'s positivity check and ``kraus_channel``'s bound on sum K^dag K.
+The two drivers agree to rounding, not bit for bit: results are
+byte-reproducible across reruns on one numpy and LAPACK, and differ by up to
+about 2e-15 from versions that took every spectrum from ``eigh``.
+
 Every numerical threshold of the library is defined here, once, as a fixed
 absolute constant; no function takes a tolerance keyword except
 ``majorizes`` and ``weakly_majorizes``, whose slack is part of the question.
@@ -124,6 +139,14 @@ class Spectrum:
     eigenvectors: np.ndarray
 
 
+def _hermitian(m) -> np.ndarray:
+    # the input check of both eigen kernels: square, finite, Hermitian
+    a = as_square(m)
+    if _hermiticity_defect(a) > DEFAULT_TOL:
+        raise NotHermitianError(f"matrix is not Hermitian within {DEFAULT_TOL}")
+    return a
+
+
 def hermitian_eig(m) -> Spectrum:
     """Spectral decomposition of a Hermitian matrix.
 
@@ -132,15 +155,28 @@ def hermitian_eig(m) -> Spectrum:
     ``V diag(w) V^dag`` matches the input to 1e-10 for the dimensions this
     toolkit works at (d <= 64).
     """
-    a = as_square(m)
-    if _hermiticity_defect(a) > DEFAULT_TOL:
-        raise NotHermitianError(f"matrix is not Hermitian within {DEFAULT_TOL}")
+    a = _hermitian(m)
     try:
         w, v = np.linalg.eigh(hermitize(a))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NoConvergenceError(str(exc)) from exc
     order = np.argsort(-w, kind="stable")
     return Spectrum(eigenvalues=w[order], eigenvectors=v[:, order])
+
+
+def hermitian_eigvals(m) -> np.ndarray:
+    """Eigenvalues of a Hermitian matrix, sorted non-increasing, without eigenvectors.
+
+    The checks and errors of ``hermitian_eig``, then LAPACK's values-only
+    driver (``eigvalsh``), which skips building the eigenvectors. The values
+    agree with ``hermitian_eig``'s to rounding, not bit for bit.
+    """
+    a = _hermitian(m)
+    try:
+        w = np.linalg.eigvalsh(hermitize(a))
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+        raise NoConvergenceError(str(exc)) from exc
+    return w[::-1]  # eigvalsh sorts ascending
 
 
 def schur_product(a, b) -> np.ndarray:
@@ -192,19 +228,25 @@ def hs_norm(m) -> float:
     return float(np.linalg.norm(as_matrix(m)))
 
 
-def _density_spectrum(m) -> tuple[np.ndarray, Spectrum]:
-    """The one density check: Hermitian, then unit trace, then PSD.
+def _require_density(a: np.ndarray, w: np.ndarray) -> None:
+    """The one density check on a matrix and its eigenvalues.
 
-    Returns the coerced matrix and its spectrum. Raises NotHermitianError
-    (from hermitian_eig), TraceNotOneError or NotPositiveError.
+    The eigen kernel that gave ``w`` has raised NotHermitianError already,
+    so the order is Hermitian, then unit trace (TraceNotOneError), then PSD
+    (NotPositiveError).
     """
-    a = as_square(m)
-    spec = hermitian_eig(a)
     tr = complex(np.trace(a))
     if abs(tr - 1.0) > DEFAULT_TOL:
         raise TraceNotOneError(f"trace {tr} is not 1 within {DEFAULT_TOL}")
-    _require_psd(spec.eigenvalues, NotPositiveError)
-    return a, spec
+    _require_psd(w, NotPositiveError)
+
+
+def _density_eigvals(m) -> tuple[np.ndarray, np.ndarray]:
+    # the density check on eigenvalues alone: the coerced matrix and its spectrum
+    a = as_square(m)
+    w = hermitian_eigvals(a)
+    _require_density(a, w)
+    return a, w
 
 
 def _require_psd(w: np.ndarray, error, what: str = "") -> None:
@@ -221,11 +263,25 @@ def _clamped(w: np.ndarray) -> np.ndarray:
     return w
 
 
-def _clamped_density_eigs(m) -> tuple[np.ndarray, np.ndarray]:
+_STATE_ERRORS = (NotHermitianError, TraceNotOneError, NotPositiveError)
+
+
+def _clamped_density_eigvals(m) -> np.ndarray:
     # the density check with InvalidStateError, then eigenvalues clamped at 0
     try:
-        _, spec = _density_spectrum(m)
-    except (NotHermitianError, TraceNotOneError, NotPositiveError) as exc:
+        _, w = _density_eigvals(m)
+    except _STATE_ERRORS as exc:
+        raise InvalidStateError(f"state: {exc}") from None
+    return _clamped(w)
+
+
+def _clamped_density_eigs(m) -> tuple[np.ndarray, np.ndarray]:
+    # _clamped_density_eigvals, with the eigenvectors too
+    try:
+        a = as_square(m)
+        spec = hermitian_eig(a)
+        _require_density(a, spec.eigenvalues)
+    except _STATE_ERRORS as exc:
         raise InvalidStateError(f"state: {exc}") from None
     return _clamped(spec.eigenvalues), spec.eigenvectors
 
@@ -246,7 +302,7 @@ def shannon_entropy(p) -> float:
 
 def von_neumann_entropy(rho) -> float:
     """Von Neumann entropy in bits. Raises InvalidStateError on a non-state."""
-    w, _ = _clamped_density_eigs(rho)
+    w = _clamped_density_eigvals(rho)
     pos = w[w > 0.0]
     return float(-np.sum(pos * np.log2(pos)))
 
@@ -259,7 +315,7 @@ def _relative_entropy_core(
     # that has checked sigma passes its clamped eigenvalues and eigenvectors
     # as sigma_eigs, and one that has checked rho its clamped eigenvalues as
     # rho_eigs, so neither is diagonalized a second time.
-    wr = _clamped_density_eigs(rho)[0] if rho_eigs is None else rho_eigs
+    wr = _clamped_density_eigvals(rho) if rho_eigs is None else rho_eigs
     if sigma_eigs is None:
         spec = hermitian_eig(sigma)
         _require_psd(spec.eigenvalues, InvalidStateError, "second argument has ")

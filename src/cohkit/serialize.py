@@ -290,6 +290,8 @@ def loads(text: str, expect: str | None = None):
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
+    except RecursionError:
+        raise ParseError("invalid JSON: nesting too deep") from None
     return from_json(doc, expect)
 
 
@@ -315,4 +317,8 @@ def load(path, expect: str | None = None):
             text = fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(
+            f"cannot read {path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
+        ) from None
     return loads(text, expect)

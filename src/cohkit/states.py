@@ -35,24 +35,33 @@ from .errors import (
 
 
 def _integer(name: str, value):
-    """Return value if it is an integer; raise BadParameterError otherwise."""
-    if not isinstance(value, numbers.Integral):
+    """Return value if it is an integer, not a bool; raise BadParameterError otherwise."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise BadParameterError(f"{name} must be an integer")
     return value
 
 
+def _seed(seed):
+    """Return seed if it is a non-negative integer; raise BadParameterError otherwise."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise BadParameterError("seed must be a non-negative integer")
+    return seed
+
+
 def as_generator(seed, **sizes: int) -> np.random.Generator:
-    """Accept an int seed, a SeedSequence or a Generator and return a Generator.
+    """Accept a non-negative int seed, a SeedSequence or a Generator and return a Generator.
 
     Every random generator enters here and names the dimensions and counts
     it draws with as keywords; one that is not an integer, or is below 1,
-    raises BadParameterError.
+    raises BadParameterError, and so does any other seed.
     """
     for name, value in sizes.items():
         if _integer(name, value) < 1:
             raise BadParameterError(f"{name} must be positive")
     if isinstance(seed, np.random.Generator):
         return seed
+    if not isinstance(seed, np.random.SeedSequence):
+        _seed(seed)
     return np.random.default_rng(seed)
 
 
@@ -67,7 +76,7 @@ class DensityMatrix:
         return self.matrix.shape[0]
 
     def eigenvalues(self) -> np.ndarray:
-        return linalg.hermitian_eig(self.matrix).eigenvalues
+        return linalg.hermitian_eigvals(self.matrix)
 
     def validate(self) -> "DensityMatrix":
         validate_density(self.matrix)
@@ -76,7 +85,7 @@ class DensityMatrix:
 
 def validate_density(m) -> DensityMatrix:
     """Check Hermiticity, unit trace and positivity, and wrap the matrix."""
-    a, _ = linalg._density_spectrum(m)
+    a, _ = linalg._density_eigvals(m)
     return DensityMatrix(matrix=a)
 
 
@@ -364,7 +373,7 @@ def make_povm(effects) -> Povm:
         if e.shape != (d, d):
             raise DimMismatchError("effect dimensions differ")
         try:
-            w = linalg.hermitian_eig(e).eigenvalues
+            w = linalg.hermitian_eigvals(e)
         except NotHermitianError:
             raise NotHermitianError(
                 f"effect {n} is not Hermitian within {linalg.DEFAULT_TOL}"

@@ -232,8 +232,8 @@ def _check_pythagorean_identity(rng, cfg, t):
     middle = linalg.relative_entropy(rho.matrix, pinched.matrix)
     # the kernel of relative_entropy on one spectrum per matrix: rho's and
     # the pinched state's from here, each sigma's from the loop
-    wr = linalg._clamped_density_eigs(rho.matrix)[0]
-    wp = linalg._clamped_density_eigs(pinched.matrix)[0]
+    wr = linalg._clamped_density_eigvals(rho.matrix)
+    wp = linalg._clamped_density_eigvals(pinched.matrix)
     # the relative entropies draw nothing, so drawing all ten first keeps the stream
     residuals = []
     for sigma in instruments._random_block_diagonal_stack(obs, 10, rng):
@@ -850,7 +850,7 @@ def run_all(cfg: VerifyConfig) -> list[PropertyResult]:
         raise BadParameterError(f"dim_max must lie in [3, 8], got {cfg.dim_max}")
     if cfg.trials is not None and cfg.trials < 1:
         raise BadParameterError(f"trials must be at least 1, got {cfg.trials}")
-    root = np.random.SeedSequence(cfg.seed)
+    root = np.random.SeedSequence(states._seed(cfg.seed))
     children = root.spawn(len(REGISTRY))
     results = [check(child, cfg) for check, child in zip(REGISTRY, children)]
     return sorted(results, key=lambda r: r.name)

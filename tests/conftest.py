@@ -15,15 +15,23 @@ os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("P
 
 @pytest.fixture
 def eig_calls(monkeypatch):
-    """A list that grows by one on each linalg.hermitian_eig call."""
+    """A list that grows by one on each eigendecomposition.
+
+    A linalg.hermitian_eig call appends "eig" and a values-only
+    linalg.hermitian_eigvals call appends "eigvals", so ``len`` counts every
+    decomposition and ``count("eig")`` the full ones.
+    """
     from cohkit import linalg
 
     calls = []
-    eig = linalg.hermitian_eig
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return eig(*args, **kwargs)
-
-    monkeypatch.setattr(linalg, "hermitian_eig", counted)
+    for name, tag in (("hermitian_eig", "eig"), ("hermitian_eigvals", "eigvals")):
+        monkeypatch.setattr(linalg, name, _counted(getattr(linalg, name), calls, tag))
     return calls
+
+
+def _counted(fn, calls, tag):
+    def counted(*args, **kwargs):
+        calls.append(tag)
+        return fn(*args, **kwargs)
+
+    return counted

@@ -10,7 +10,8 @@ import time
 import numpy as np
 import pytest
 
-from cohkit import channels, cli, serialize, states
+from cohkit import channels, cli, serialize, states, verify
+from cohkit.errors import BadParameterError, ParseError
 
 
 def run_cli(*argv):
@@ -521,3 +522,52 @@ def test_json_output_renders_no_text_lines(tmp_path, monkeypatch):
         assert run_cli(*argv) == want
     with pytest.raises(AssertionError, match="rendered under --json"):
         run_cli("classify", str(gio))
+
+
+# each bad input with the exit code cli.main gives it; a library call raises the
+# error behind that code instead (2: ParseError, 3: BadParameterError). {deep}
+# holds 200,000 "[" and {bom} the bytes FF FE, which are not UTF-8.
+BAD_INPUTS = {
+    "gen-negative-seed": (
+        ["gen", "state", "--dim", "4", "--seed", "-1", "--out", "{out}"], 3,
+        "seed must be a non-negative integer"),
+    "verify-negative-seed": (["verify", "--seed", "-1"], 3, "seed must be a non-negative integer"),
+    "classify-deep-nesting": (["classify", "{deep}"], 2, "nesting too deep"),
+    "classify-not-utf8": (["classify", "{bom}"], 2, r"cannot read \S*bom.json: not UTF-8"),
+    "loads-deep-nesting": (lambda: serialize.loads("[" * 200_000), 2, "nesting too deep"),
+    "seed-bool": (lambda: states.random_density(2, seed=True), 3,
+                  "^seed must be a non-negative integer$"),
+    "seed-float": (lambda: channels.random_gio(2, 2, seed=1.0), 3,
+                   "^seed must be a non-negative integer$"),
+    "seed-str": (lambda: states.random_unitary(2, seed="1"), 3,
+                 "^seed must be a non-negative integer$"),
+    "run-all-bool-seed": (lambda: verify.run_all(verify.VerifyConfig(seed=True)), 3,
+                          "^seed must be a non-negative integer$"),
+    "run-all-float-seed": (lambda: verify.run_all(verify.VerifyConfig(seed=0.0)), 3,
+                           "^seed must be a non-negative integer$"),
+    "run-all-str-seed": (lambda: verify.run_all(verify.VerifyConfig(seed="0")), 3,
+                         "^seed must be a non-negative integer$"),
+    "phase-damping-str": (lambda: channels.phase_damping("a"), 3,
+                          "^p must be a real number, got 'a'$"),
+    "bipartite-bool-dim": (lambda: states.bipartite(np.eye(4) / 4, True, 4), 3,
+                           "^dim_a must be an integer$"),
+    "random-density-bool-dim": (lambda: states.random_density(True), 3, "^dim must be an integer$"),
+}
+
+
+@pytest.mark.parametrize("call, code, message", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
+def test_bad_inputs_are_refused_without_a_traceback(tmp_path, call, code, message):
+    # each used to escape as numpy's ValueError, a TypeError, a RecursionError
+    # or a UnicodeDecodeError, so the command printed a traceback and exited 1
+    if callable(call):
+        with pytest.raises(ParseError if code == 2 else BadParameterError, match=message):
+            call()
+        return
+    files = {"out": tmp_path / "out.json", "deep": tmp_path / "deep.json",
+             "bom": tmp_path / "bom.json"}
+    files["deep"].write_text("[" * 200_000)
+    files["bom"].write_bytes(b"\xff\xfe")
+    got, text, err = run_cli(*(arg.format(**files) for arg in call))
+    assert (got, text) == (code, "")
+    assert re.search(message, err)
+    assert not files["out"].exists()

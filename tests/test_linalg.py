@@ -1,9 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
-from cohkit import linalg
+from cohkit import channels, linalg, states
 from cohkit.errors import (
     BadParameterError,
     InvalidStateError,
@@ -33,6 +34,56 @@ def test_hermitian_eig_reconstructs_sorted():
 def test_hermitian_eig_rejects_non_hermitian():
     with pytest.raises(NotHermitianError):
         linalg.hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def _projector(rng, d, rank):
+    q = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
+    return q[:, :rank] @ q[:, :rank].conj().T
+
+
+@pytest.mark.parametrize("d", [1, 2, 8, 64])
+def test_eigvals_match_the_full_decomposition(d):
+    # eigvalsh is a different LAPACK driver from eigh: equal to rounding, not bitwise
+    rng = np.random.default_rng(100 + d)
+    degenerate = [np.eye(d), np.zeros((d, d)), _projector(rng, d, (d + 1) // 2),
+                  np.diag(np.repeat([0.5, -0.25], [d // 2, d - d // 2]))]
+    for m in [rand_hermitian(rng, d), rand_hermitian(rng, d) / d, *degenerate]:
+        w = linalg.hermitian_eigvals(m)
+        assert w.shape == (d,)
+        assert np.all(np.diff(w) <= 0.0)
+        assert np.max(np.abs(w - linalg.hermitian_eig(m).eigenvalues)) <= 1e-13
+
+
+@pytest.mark.parametrize("m, error", [
+    (np.ones((2, 3)), ShapeMismatchError),
+    (np.ones(3), ShapeMismatchError),
+    (np.array([[0.0, 1.0], [0.0, 0.0]]), NotHermitianError),
+    (np.array([[1.0, np.nan], [np.nan, 0.0]]), BadParameterError),
+    (np.diag([1.0, np.inf]), BadParameterError),
+])
+def test_eigvals_raise_the_errors_of_the_full_decomposition(m, error):
+    with pytest.raises(error) as full:
+        linalg.hermitian_eig(m)
+    with pytest.raises(error, match=f"^{re.escape(str(full.value))}$"):
+        linalg.hermitian_eigvals(m)
+
+
+RHO3 = np.diag([0.5, 0.3, 0.2]).astype(complex)
+SIGMA3 = np.full((3, 3), 0.1) + 0.7 / 3 * np.eye(3)
+SPECTRUM_CALLS = {
+    "von-neumann-entropy": (lambda: linalg.von_neumann_entropy(RHO3), 0, 1),
+    "validate-density": (lambda: states.validate_density(RHO3), 0, 1),
+    "density-eigenvalues": (lambda: states.DensityMatrix(RHO3).eigenvalues(), 0, 1),
+    "relative-entropy": (lambda: linalg.relative_entropy(RHO3, SIGMA3), 1, 1),
+    "make-povm": (lambda: states.make_povm([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]), 0, 2),
+    "kraus-channel-not-trace-preserving": (lambda: channels.kraus_channel([0.5 * np.eye(2)]), 0, 1),
+}
+
+
+@pytest.mark.parametrize("call, full, values", SPECTRUM_CALLS.values(), ids=SPECTRUM_CALLS.keys())
+def test_spectrum_only_callers_skip_the_eigenvectors(eig_calls, call, full, values):
+    call()
+    assert (eig_calls.count("eig"), eig_calls.count("eigvals")) == (full, values)
 
 
 def test_partial_trace_of_product_factors():

@@ -360,3 +360,11 @@ def test_non_finite_entries_are_rejected(call):
     # a NaN fails no `defect > tol` comparison, so each input used to pass
     with pytest.raises(BadParameterError, match="entries must be finite$"):
         call()
+
+
+@pytest.mark.parametrize("seed", [np.random.SeedSequence(7), np.int64(7), 7])
+def test_seed_sequences_and_numpy_integers_are_seeds(seed):
+    expect = np.random.default_rng(7).standard_normal(3)
+    assert np.array_equal(states.as_generator(seed).standard_normal(3), expect)
+    rng = np.random.default_rng(7)
+    assert states.as_generator(rng) is rng
