@@ -3,15 +3,19 @@
 Classification is decomposition-relative: it inspects the Kraus list actually
 supplied, in the declared reference basis (default: the standard basis).
 Entries below ``linalg.ZERO_TOL`` in absolute value are treated as zero
-throughout. Channels are immutable: one read-only (r, d, d) stack of Kraus
-operators, factored in one vectorized pass. To change a channel, build a new
-one.
+throughout, and the factoring K_n = M(f_n) K_diag is the one place that test
+is made: every class is read off it, and GIO is the case where every index
+map f_n is the identity. Channels are immutable: one read-only (r, d, d)
+stack of Kraus operators, factored in one vectorized pass on first use and
+kept. A reference basis gives a new, rotated channel, factored afresh. To
+change a channel, build a new one.
 """
 
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -41,6 +45,7 @@ class KrausChannel:
     """A completely positive map given by its Kraus operators.
 
     Immutable: kraus is a read-only (r, d, d) copy of the operators given.
+    Its standard-basis factoring is computed on first use and reused after it.
     """
 
     kraus: np.ndarray
@@ -49,6 +54,12 @@ class KrausChannel:
 
     def __post_init__(self):
         object.__setattr__(self, "kraus", _read_only(self.kraus))
+
+    @cached_property
+    def _form(self) -> tuple[np.ndarray, np.ndarray]:
+        # the read-only factoring (f, c) of the whole stack; a not-IO list
+        # raises NotIOFormError on every use, since a raising property caches nothing
+        return tuple(map(_read_only, _factor_stack(self.kraus)))
 
     @property
     def dim(self) -> int:
@@ -120,11 +131,23 @@ def phase_damping(p: float) -> KrausChannel:
     return kraus_channel([k0, k1])
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class IndexMap:
-    """A map i -> f(i) of basis indices, as read off an operator's column pattern."""
+    """A map i -> f(i) of basis indices, as read off an operator's column pattern.
+
+    Immutable: mapping is a tuple of integers in [0, len(mapping)).
+    """
 
     mapping: tuple[int, ...]
+
+    def __post_init__(self):
+        try:
+            mapping = tuple(self.mapping)
+        except TypeError:
+            raise BadParameterError("an index map is a sequence of integers") from None
+        if not all(0 <= _integer("an index map entry", i) < len(mapping) for i in mapping):
+            raise BadParameterError(f"index map entries must lie in [0, {len(mapping)})")
+        object.__setattr__(self, "mapping", mapping)
 
     @property
     def dim(self) -> int:
@@ -147,10 +170,9 @@ def _rotated_kraus(ks: np.ndarray, basis) -> np.ndarray:
     return b.conj().T @ ks @ b
 
 
-def _all_diagonal(ks: np.ndarray) -> bool:
-    # the one zero test behind GIO: every off-diagonal entry below ZERO_TOL
-    off = ~np.eye(ks.shape[1], dtype=bool)
-    return bool(np.max(np.abs(ks[:, off]), initial=0.0) < linalg.ZERO_TOL)
+def _in_basis(ch: KrausChannel, basis) -> KrausChannel:
+    # the channel written in the reference basis; with none, ch itself and its cache
+    return ch if basis is None else replace(ch, kraus=_rotated_kraus(ch.kraus, basis))
 
 
 def _factor_stack(ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -183,31 +205,27 @@ def factor_kraus(k, basis=None) -> tuple[IndexMap, np.ndarray]:
     return IndexMap(mapping=tuple(f[0].tolist())), np.diag(c[0])
 
 
-def _incoherent_form(ch: KrausChannel, basis=None):
-    # classify's label with the factoring (f, c) it read it from; None for not-IO
-    if not ch.trace_preserving:
-        raise NotTracePreservingError("classification is defined for channels")
-    ks = _rotated_kraus(ch.kraus, basis)
-    try:
-        form = _factor_stack(ks)
-    except NotIOFormError:
-        return NOT_IO, None
-    if _all_diagonal(ks):
-        return GIO, form
-    # a permutation maps the d columns to d distinct rows
-    if np.all(np.diff(np.sort(form[0], axis=1), axis=1) != 0):
-        return SIO_NOT_GIO, form
-    return IO_NOT_SIO, form
-
-
 def classify(ch: KrausChannel, basis=None) -> str:
     """Strongest incoherence class of the Kraus list in the reference basis.
 
     GIO: every operator diagonal. SIO-not-GIO: every operator a permutation
     times a diagonal, not all diagonal. IO-not-SIO: at most one nonzero per
-    column, some index map non-bijective. not-IO: anything else.
+    column, some index map non-bijective. not-IO: anything else. Every class
+    is read off the one factoring K_n = M(f_n) K_diag; GIO is the case where
+    every f_n is the identity.
     """
-    return _incoherent_form(ch, basis)[0]
+    if not ch.trace_preserving:
+        raise NotTracePreservingError("classification is defined for channels")
+    try:
+        f, _ = _in_basis(ch, basis)._form
+    except NotIOFormError:
+        return NOT_IO
+    if np.all(f == np.arange(ch.dim)):
+        return GIO
+    # a permutation maps the d columns to d distinct rows
+    if np.all(np.diff(np.sort(f, axis=1), axis=1) != 0):
+        return SIO_NOT_GIO
+    return IO_NOT_SIO
 
 
 def _completeness(f: np.ndarray, c: np.ndarray) -> bool:
@@ -224,7 +242,7 @@ def io_completeness_check(ch: KrausChannel, basis=None) -> bool:
     delta_ij; this is algebraically the same as sum K^dag K = 1 restricted to
     incoherent-form lists.
     """
-    return _completeness(*_factor_stack(_rotated_kraus(ch.kraus, basis)))
+    return _completeness(*_in_basis(ch, basis)._form)
 
 
 def _correlation_spectrum(c: np.ndarray) -> linalg.Spectrum:
@@ -267,10 +285,10 @@ def correlation_matrix_of(ch: KrausChannel, basis=None) -> CorrelationMatrix:
     """Read the dynamical vectors off a diagonal Kraus list."""
     if not ch.trace_preserving:
         raise NotTracePreservingError("correlation matrices describe channels")
-    ks = _rotated_kraus(ch.kraus, basis)
-    if not _all_diagonal(ks):
+    ch = _in_basis(ch, basis)
+    if classify(ch) != GIO:
         raise NotGIOError("Kraus operators are not all diagonal in this basis")
-    vectors = np.diagonal(ks, axis1=1, axis2=2).copy()  # shape (r, d)
+    vectors = np.diagonal(ch.kraus, axis1=1, axis2=2).copy()  # shape (r, d)
     c = vectors.conj().T @ vectors
     if np.max(np.abs(np.diag(c) - 1.0)) > linalg.DEFAULT_TOL:
         raise DiagonalNotOneError("dynamical vectors are not normalized")
@@ -319,7 +337,7 @@ def commutant(ch: KrausChannel) -> list[np.ndarray]:
     return [vh[i].conj().reshape(d, d) for i in range(rank, d * d)]
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class FixedPointResult:
     """Residuals reported by fixed_point_check."""
 
@@ -364,7 +382,9 @@ def evolve_path(ch: KrausChannel, rho, n: int) -> list[DensityMatrix]:
     if not ch.trace_preserving:
         raise NotTracePreservingError("evolution is defined for channels")
     x = linalg.as_square(rho)
-    schur = correlation_matrix_of(ch).matrix.T if _all_diagonal(ch.kraus) else None
+    if x.shape[0] != ch.dim:
+        raise DimMismatchError("operator and channel dimensions differ")
+    schur = correlation_matrix_of(ch).matrix.T if classify(ch) == GIO else None
     path = [DensityMatrix(matrix=x)]
     for _ in range(n):
         x = schur * x if schur is not None else apply_to_operator(ch, x)

@@ -81,12 +81,13 @@ def _cmd_measure(args):
 def _cmd_classify(args):
     ch = serialize.load(args.channel, expect="channel")
     basis = serialize.load(args.basis, expect="matrix") if args.basis else None
-    label, form = channels._incoherent_form(ch, basis)
+    label = channels.classify(ch, basis)
+    ch = channels._in_basis(ch, basis)
     doc = {"class": label}
     if label == channels.GIO:
-        doc["correlation_matrix"] = channels.correlation_matrix_of(ch, basis).matrix
-    if form is not None:
-        f, c = form
+        doc["correlation_matrix"] = channels.correlation_matrix_of(ch).matrix
+    if label != channels.NOT_IO:
+        f, c = ch._form
         doc["factors"] = [{
             "kind": channels.IndexMap(mapping=tuple(mapping)).kind,
             "mapping": mapping,
@@ -99,8 +100,8 @@ def _cmd_classify(args):
         if label == channels.GIO:
             yield "correlation matrix:"
             yield from _matrix_lines(doc["correlation_matrix"])
-        if form is not None:
-            for n, (factor, diag) in enumerate(zip(doc["factors"], form[1])):
+        if label != channels.NOT_IO:
+            for n, (factor, diag) in enumerate(zip(doc["factors"], c)):
                 yield (f"kraus {n}: {factor['kind']} {factor['mapping']}"
                        f"  diagonal [ {'  '.join(map(_cell, diag))} ]")
             yield f"completeness constraint satisfied: {'yes' if doc['completeness'] else 'no'}"

@@ -17,8 +17,7 @@ import numpy as np
 from . import linalg
 from .channels import (
     GIO,
-    IO_NOT_SIO,
-    SIO_NOT_GIO,
+    NOT_IO,
     KrausChannel,
     classify,
     correlation_matrix_of,
@@ -146,8 +145,7 @@ def _stacked_isometry(ops) -> np.ndarray:
 
 def effective_isometry(ch: KrausChannel, basis=None) -> np.ndarray:
     """V = sum_n K_n (x) |a_n> for an incoherent channel; V^dag V = 1."""
-    label = classify(ch, basis)
-    if label not in (GIO, SIO_NOT_GIO, IO_NOT_SIO):
+    if classify(ch, basis) == NOT_IO:
         raise NotIOFormError("an incoherent Kraus list is required")
     return _stacked_isometry(ch.kraus)
 
@@ -223,11 +221,9 @@ def dilate_incoherent(ch: KrausChannel, basis=None) -> DilationModel:
 def dilate(ch: KrausChannel, basis=None) -> DilationModel:
     """Pick the dilation builder matching the channel's incoherence class."""
     label = classify(ch, basis)
-    if label == GIO:
-        return dilate_gio(ch, basis)
-    if label in (SIO_NOT_GIO, IO_NOT_SIO):
-        return dilate_incoherent(ch, basis)
-    raise UnsupportedClassError(f"no dilation builder for class {label}")
+    if label == NOT_IO:
+        raise UnsupportedClassError(f"no dilation builder for class {label}")
+    return dilate_gio(ch, basis) if label == GIO else dilate_incoherent(ch, basis)
 
 
 def generalized_cnot(dim: int) -> np.ndarray:

@@ -846,9 +846,9 @@ def run_all(cfg: VerifyConfig) -> list[PropertyResult]:
     """Run every registered property; results come back sorted by name."""
     # properties draw d from [lo, min(dim_max, hi)] with lo <= 3 and hi <= 8,
     # so a dim_max outside [3, 8] could only be clamped
-    if not 3 <= cfg.dim_max <= 8:
+    if not 3 <= states._integer("dim_max", cfg.dim_max) <= 8:
         raise BadParameterError(f"dim_max must lie in [3, 8], got {cfg.dim_max}")
-    if cfg.trials is not None and cfg.trials < 1:
+    if cfg.trials is not None and states._integer("trials", cfg.trials) < 1:
         raise BadParameterError(f"trials must be at least 1, got {cfg.trials}")
     root = np.random.SeedSequence(states._seed(cfg.seed))
     children = root.spawn(len(REGISTRY))

@@ -8,6 +8,7 @@ from cohkit.errors import (
     BadBasisError,
     BadParameterError,
     DiagonalNotOneError,
+    DimMismatchError,
     NotGIOError,
     NotHermitianError,
     NotIOFormError,
@@ -199,6 +200,15 @@ def test_evolve_path_follows_power_law():
     assert np.array_equal(last.matrix, path[-1].matrix)
 
 
+@pytest.mark.parametrize("ch", [channels.phase_damping(0.75), bit_flip()], ids=["schur", "kraus"])
+@pytest.mark.parametrize("rho", [np.eye(1), np.eye(3) / 3], ids=["1x1", "3x3"])
+def test_evolve_path_refuses_a_state_of_another_dimension(ch, rho):
+    # the Schur path once broadcast a 1 x 1 state to a path of 2 x 2 matrices
+    for n in (0, 2):
+        with pytest.raises(DimMismatchError, match="^operator and channel dimensions differ$"):
+            channels.evolve_path(ch, rho, n)
+
+
 def test_unital_channels_spread_spectra():
     rng = np.random.default_rng(6)
     for t in range(10):
@@ -248,24 +258,37 @@ def test_classify_rejects_non_unitary_basis():
         channels.classify(channels.phase_damping(0.75), basis=2.0 * np.eye(2))
 
 
-@pytest.mark.parametrize("off, diagonal", [(0.5e-10, True), (1e-10, False), (2e-10, False)])
-def test_diagonal_kraus_decisions_agree_at_zero_tol(off, diagonal):
+ROTATION = np.array([[np.cos(0.3), -np.sin(0.3)], [np.sin(0.3), np.cos(0.3)]], dtype=complex)
+
+
+@pytest.mark.parametrize("off, diagonal, basis", [
+    pytest.param(0.5e-10, True, None, id="5e-11-True"),
+    pytest.param(1e-10, False, None, id="1e-10-False"),
+    pytest.param(2e-10, False, None, id="2e-10-False"),
+    pytest.param(0.5e-10, True, ROTATION, id="5e-11-True-rotated"),
+    pytest.param(2e-10, False, ROTATION, id="2e-10-False-rotated"),
+])
+def test_diagonal_kraus_decisions_agree_at_zero_tol(off, diagonal, basis):
     # off-diagonal entries on either side of ZERO_TOL decide GIO, the
-    # correlation matrix and the Schur-form evolution the same way
+    # correlation matrix and the Schur-form evolution the same way, also when
+    # the operators are diagonal only in a rotated reference basis
     k0 = np.sqrt(0.5) * np.eye(2, dtype=complex)
     k1 = np.sqrt(0.5) * np.diag([1.0, -1.0]).astype(complex)
     k1[0, 1] = off
-    ch = channels.kraus_channel([k0, k1])
+    ops = [k0, k1] if basis is None else [basis @ k @ basis.conj().T for k in (k0, k1)]
+    ch = channels.kraus_channel(ops)
     assert ch.trace_preserving
-    assert (channels.classify(ch) == channels.GIO) is diagonal
-    step = channels.evolve_path(ch, PLUS, 1)[1].matrix
+    assert (channels.classify(ch, basis) == channels.GIO) is diagonal
     if diagonal:
-        schur = channels.correlation_matrix_of(ch).matrix.T
-        assert np.array_equal(step, schur * PLUS)
+        corr = channels.correlation_matrix_of(ch, basis)
+        assert np.allclose(corr.vectors, [[np.sqrt(0.5)] * 2, [np.sqrt(0.5), -np.sqrt(0.5)]])
     else:
         with pytest.raises(NotGIOError):
-            channels.correlation_matrix_of(ch)
-        assert np.array_equal(step, channels.apply_to_operator(ch, PLUS))
+            channels.correlation_matrix_of(ch, basis)
+    if basis is None:
+        step = channels.evolve_path(ch, PLUS, 1)[1].matrix
+        expect = corr.matrix.T * PLUS if diagonal else channels.apply_to_operator(ch, PLUS)
+        assert np.array_equal(step, expect)
 
 
 def test_kraus_channel_rejects_empty_matrix():
@@ -276,6 +299,20 @@ def test_kraus_channel_rejects_empty_matrix():
 def test_gio_from_correlation_rejects_empty_matrix():
     with pytest.raises(ShapeMismatchError):
         channels.gio_from_correlation(np.zeros((0, 0)))
+
+
+def test_index_map_and_fixed_point_result_are_frozen():
+    result = channels.fixed_point_check(channels.phase_damping(0.75), PLUS)
+    for obj, field in ((channels.IndexMap((1, 0)), "mapping"), (result, "fixedness_residual")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, field, 0)
+    assert channels.IndexMap([1, 1]).mapping == (1, 1)
+
+
+@pytest.mark.parametrize("mapping", [(5,), (-1, 0), (0, 2), (0.5, 0), (True, 0), ("0",), 3], ids=repr)
+def test_index_map_refuses_entries_outside_its_range(mapping):
+    with pytest.raises(BadParameterError):
+        channels.IndexMap(mapping)
 
 
 def test_kraus_channel_is_frozen_with_a_read_only_stack():

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from cohkit import channels, cli, serialize, states, verify
+from cohkit import channels, cli, dilation, serialize, states, verify
 from cohkit.errors import BadParameterError, ParseError
 
 
@@ -272,7 +272,37 @@ def test_gen_observable_terminates_at_d64(tmp_path):
     assert np.all(-np.diff(vals) > 0.5)
 
 
-def test_classify_factors_each_operator_once(tmp_path, monkeypatch):
+def _ok(*argv) -> str:
+    code, text, _ = run_cli(*map(str, argv))
+    assert code == 0
+    return text
+
+
+def _classify_io_text(tmp, ch):
+    text = _ok("classify", tmp / "ch.json")
+    assert "class: IO-not-SIO" in text
+    assert text.count("relabeling") == 5
+
+
+@pytest.mark.parametrize("family, call", [
+    ("io", lambda tmp, ch: channels.classify(ch)),
+    ("io", lambda tmp, ch: channels.io_completeness_check(ch)),
+    ("gio", lambda tmp, ch: channels.correlation_matrix_of(ch)),
+    ("gio", lambda tmp, ch: dilation.dilate(ch)),
+    ("sio", lambda tmp, ch: dilation.dilate(ch)),
+    ("io", lambda tmp, ch: dilation.dilate(ch)),
+    ("gio", lambda tmp, ch: (channels.classify(ch),
+                             channels.evolve_path(ch, np.eye(ch.dim) / ch.dim, 2))),
+    ("io", _classify_io_text),
+    ("gio", lambda tmp, ch: _ok("classify", tmp / "ch.json", "--json")),
+    ("sio", lambda tmp, ch: _ok("dilate", tmp / "ch.json", "--out", tmp / "model.json")),
+    ("gio", lambda tmp, ch: _ok("evolve", tmp / "ch.json", tmp / "state.json", "--steps", 2)),
+], ids=["classify", "io_completeness_check", "correlation_matrix_of", "dilate-gio",
+        "dilate-sio", "dilate-io", "classify+evolve_path-gio", "cli-classify-io",
+        "cli-classify-gio", "cli-dilate-sio", "cli-evolve-gio"])
+def test_classify_factors_each_operator_once(tmp_path, monkeypatch, family, call):
+    # a channel factors its Kraus stack on first use and every later reading
+    # of its class, factors or correlation matrix reuses that one factoring
     calls = []
     factor = channels._factor_stack
 
@@ -281,12 +311,12 @@ def test_classify_factors_each_operator_once(tmp_path, monkeypatch):
         return factor(ks)
 
     monkeypatch.setattr(channels, "_factor_stack", counted)
-    path = tmp_path / "io.json"
-    run_cli("gen", "channel", "--family", "io", "--dim", "5", "--seed", "3", "--out", str(path))
-    code, text, _ = run_cli("classify", str(path))
-    assert code == 0 and "class: IO-not-SIO" in text
-    assert text.count("relabeling") == 5
-    assert calls == [5]
+    _ok("gen", "channel", "--family", family, "--dim", 5, "--kraus", 3, "--seed", 3,
+        "--out", tmp_path / "ch.json")
+    _ok("gen", "state", "--dim", 5, "--out", tmp_path / "state.json")
+    ch = serialize.load(tmp_path / "ch.json", expect="channel")
+    call(tmp_path, ch)
+    assert calls == [ch.n_kraus]
 
 
 def _with_sentinel(path, edit, literal):

@@ -5,8 +5,10 @@ import math
 import sys
 
 import numpy as np
+import pytest
 
 from cohkit import cli, coherence, linalg, verify
+from cohkit.errors import BadParameterError
 from cohkit.verify import VerifyConfig
 
 
@@ -106,6 +108,15 @@ def test_run_all_runs_each_per_trial_property_trials_times():
         sys.setprofile(None)
     assert [r.name for r in results] == sorted(NAMES)
     assert {trials[code]: n for code, n in calls.items()} == dict.fromkeys(trials.values(), 2)
+
+
+@pytest.mark.parametrize("setting", [
+    {"dim_max": 3.5}, {"dim_max": "3"}, {"dim_max": True}, {"dim_max": 9},
+    {"trials": "2"}, {"trials": 1.5}, {"trials": True}, {"trials": 0},
+], ids=lambda setting: ",".join(f"{k}={v!r}" for k, v in setting.items()))
+def test_run_all_refuses_settings_that_are_not_integers_in_range(setting):
+    with pytest.raises(BadParameterError):
+        verify.run_all(VerifyConfig(**setting))
 
 
 def test_run_all_reads_the_registry_when_called(monkeypatch):
