@@ -310,8 +310,12 @@ def gio_from_correlation(c) -> KrausChannel:
 
 
 def channel_superoperator(ch: KrausChannel) -> np.ndarray:
-    """Matrix of the channel on row-major vectorized operators."""
+    """Matrix of the channel on row-major vectorized operators.
+
+    Raises BadParameterError when its d**4 entries exceed ``linalg.MAX_ENTRIES``.
+    """
     d = ch.dim
+    linalg._check_entries(d**4, "the superoperator")
     s = np.zeros((d * d, d * d), dtype=complex)
     for k in ch.kraus:
         s += linalg._kron(k, k.conj())
@@ -319,22 +323,53 @@ def channel_superoperator(ch: KrausChannel) -> np.ndarray:
 
 
 def commutant(ch: KrausChannel) -> list[np.ndarray]:
-    """Hilbert-Schmidt-orthonormal basis of {X : [X, K_i] = [X, K_i^dag] = 0}.
+    """Hilbert-Schmidt-orthonormal basis of {X : [X, K_n] = [X, K_n^dag] = 0}.
 
-    The commutator constraints are linear in X, so the basis is the SVD
-    nullspace (singular values at or below ``linalg.NULL_TOL``) of the
-    stacked constraint matrix. For a unital channel this algebra is exactly
-    the fixed-point set.
+    For a unital channel this algebra is exactly the fixed-point set. It is
+    computed from one Hermitian element of the Kraus algebra, the probe
+    H = sum_n w_2n (K_n + K_n^dag) + w_2n+1 i(K_n - K_n^dag) with the fixed,
+    distinct weights w_j = 1 + frac((j + 1) (sqrt 5 - 1) / 2) in [1, 2),
+    diagonalized once as H = V diag(h) V^dag.
+
+    The reduction is exact: every X in the commutant commutes with H, so
+    V^dag X V is block diagonal over H's eigenspaces. Sorted eigenvalues a gap
+    ``< linalg.GROUP_TOL`` apart share a block, as in ``spectral_decompose``;
+    rounding separates equal eigenvalues by far less, so a true eigenspace is
+    never split, and merging blocks only adds unknowns. The constraints
+    Y M - M Y = 0, for M each K_n and K_n^dag written in the basis V, are then
+    solved for block-diagonal Y alone: the basis is V Y V^dag for each right
+    singular vector Y of that reduced matrix whose singular value is
+    ``<= linalg.NULL_TOL``. GIO needs no special case: H is diagonal, and its
+    blocks are the classes of equal dynamical vectors.
+
+    Raises BadParameterError when the reduced matrix, 2 r d**2 sum_k m_k**2
+    entries for blocks of sizes m_k, would exceed ``linalg.MAX_ENTRIES``.
     """
     if not ch.unital:
         raise NotUnitalError("the commutant equals the fixed points only for unital channels")
-    d = ch.dim
-    eye = np.eye(d)
-    a = np.vstack([linalg._kron(eye, m.T) - linalg._kron(m, eye)
-                   for k in ch.kraus for m in (k, k.conj().T)])
-    _, s, vh = np.linalg.svd(a, full_matrices=False)
-    rank = int(np.sum(s > linalg.NULL_TOL))
-    return [vh[i].conj().reshape(d, d) for i in range(rank, d * d)]
+    d, r = ch.dim, ch.n_kraus
+    # the probe is G + G^dag with G = sum_n (w_2n + i w_2n+1) K_n
+    w = 1.0 + np.modf(np.arange(1, 2 * r + 1) * (np.sqrt(5.0) - 1.0) / 2.0)[0]
+    g = np.tensordot(w[0::2] + 1j * w[1::2], ch.kraus, axes=1)
+    spec = linalg.hermitian_eig(g + g.conj().T)
+    v = spec.eigenvectors
+    labels = linalg._clusters(spec.eigenvalues)
+    rows, cols = np.nonzero(labels[:, None] == labels[None, :])  # unknowns Y[a, b]
+    p = rows.size
+    linalg._check_entries(2 * r * d * d * p, "the commutant constraint matrix")
+    kt = v.conj().T @ ch.kraus @ v
+    ms = np.concatenate([kt, kt.conj().transpose(0, 2, 1)])
+    # column (a, b) is E_ab M - M E_ab: its row a is row b of M, minus column a
+    # of M in its column b
+    a = np.zeros((p, 2 * r, d, d), dtype=complex)
+    unknown = np.arange(p)
+    a[unknown, :, rows, :] = ms.transpose(1, 0, 2)[cols]
+    a[unknown, :, :, cols] -= ms.transpose(2, 0, 1)[rows]
+    _, s, vh = np.linalg.svd(a.reshape(p, -1).T, full_matrices=False)
+    null = vh[int(np.sum(s > linalg.NULL_TOL)):].conj()
+    y = np.zeros((len(null), d, d), dtype=complex)
+    y[:, rows, cols] = null
+    return list(v @ y @ v.conj().T)
 
 
 @dataclass(eq=False, frozen=True)

@@ -26,8 +26,9 @@ from .errors import BadDimensionError, CohkitError, NotGIOError, ParseError, Val
 # d=32 io channel (1024 x 1024, a 44 MB model file) is the biggest accepted
 MAX_JOINT_DIM = 1024
 # largest instance `gen` draws and trajectory `evolve` keeps, counted in
-# complex entries: 256 MiB, a d=4096 state or 4095 evolve steps at d=64
-MAX_ENTRIES = 2**24
+# complex entries: 256 MiB, a d=4096 state or 4095 evolve steps at d=64; the
+# library's one size bound, bound here so a test can lower it for the CLI
+MAX_ENTRIES = linalg.MAX_ENTRIES
 
 
 def _fmt(x: float) -> str:

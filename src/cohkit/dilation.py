@@ -227,9 +227,13 @@ def dilate(ch: KrausChannel, basis=None) -> DilationModel:
 
 
 def generalized_cnot(dim: int) -> np.ndarray:
-    """sum_n |n><n| (x) X^n with X the cyclic shift; entries exactly 0 or 1."""
+    """sum_n |n><n| (x) X^n with X the cyclic shift; entries exactly 0 or 1.
+
+    Raises BadParameterError when its dim**4 entries exceed ``linalg.MAX_ENTRIES``.
+    """
     if _integer("dim", dim) < 2:
         raise BadDimensionError("dim must be at least 2")
+    linalg._check_entries(dim**4, "the generalized CNOT")
     shift = np.roll(np.eye(dim, dtype=complex), 1, axis=0)
     u = np.zeros((dim * dim, dim * dim), dtype=complex)
     power = np.eye(dim, dtype=complex)

@@ -35,11 +35,19 @@ absolute constant; no function takes a tolerance keyword except
   factor (``gio_from_correlation``) and a POVM square root.
 - ``PROB_FLOOR`` 1e-12: an outcome with probability ``<=`` it has no Lüders
   post-state; ``classical_correlation`` skips outcomes ``<`` it.
-- ``NULL_TOL`` 1e-9: singular values ``<=`` it span ``commutant``.
+- ``NULL_TOL`` 1e-9: singular values ``<=`` it of ``commutant``'s reduced
+  constraint matrix span the commutant.
 - ``GROUP_TOL`` 1e-6: sorted eigenvalues a gap ``<`` it apart share a
-  cluster in ``spectral_decompose``.
+  cluster, in ``spectral_decompose`` and in the spectrum of ``commutant``'s
+  probe element.
 - ``IMAG_TOL`` 1e-12: majorization rejects a vector whose imaginary parts
   reach ``>`` it.
+
+One size bound is defined here too: ``MAX_ENTRIES`` 2**24 complex entries
+(256 MiB). ``channel_superoperator`` and ``generalized_cnot`` (d**4 entries)
+and ``commutant`` (its reduced constraint matrix) raise BadParameterError
+above it, before allocating; the CLI's ``gen`` and ``evolve`` use the same
+bound.
 """
 
 from __future__ import annotations
@@ -71,6 +79,7 @@ PROB_FLOOR = 1e-12
 NULL_TOL = 1e-9
 GROUP_TOL = 1e-6
 IMAG_TOL = 1e-12
+MAX_ENTRIES = 2**24
 
 
 def as_matrix(m) -> np.ndarray:
@@ -177,6 +186,18 @@ def hermitian_eigvals(m) -> np.ndarray:
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NoConvergenceError(str(exc)) from exc
     return w[::-1]  # eigvalsh sorts ascending
+
+
+def _check_entries(entries: int, what: str) -> None:
+    # the one size refusal, made before an array of that many entries exists
+    if entries > MAX_ENTRIES:
+        raise BadParameterError(f"{what} would hold {entries} entries, above {MAX_ENTRIES}")
+
+
+def _clusters(w: np.ndarray) -> np.ndarray:
+    # cluster labels 0, 1, ... of non-increasing eigenvalues: a new cluster
+    # starts wherever the gap to the previous value is >= GROUP_TOL
+    return np.cumsum(np.concatenate(([False], w[:-1] - w[1:] >= GROUP_TOL)))[: w.size]
 
 
 def schur_product(a, b) -> np.ndarray:

@@ -201,12 +201,8 @@ def spectral_decompose(h) -> Observable:
     w, v = spec.eigenvalues, spec.eigenvectors
     if w.size == 0:
         raise ShapeMismatchError("cannot decompose an empty matrix")
-    groups: list[list[int]] = [[0]]
-    for i in range(1, w.size):
-        if w[i - 1] - w[i] >= linalg.GROUP_TOL:
-            groups.append([i])
-        else:
-            groups[-1].append(i)
+    labels = linalg._clusters(w)
+    groups = np.split(np.arange(w.size), np.flatnonzero(np.diff(labels)) + 1)
     values, projectors = [], []
     for g in groups:
         spread = w[g[0]] - w[g[-1]]

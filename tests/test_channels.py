@@ -443,3 +443,144 @@ def test_batched_action_is_bit_identical_to_the_operator_loop(d):
             assert got.dtype == want.dtype and got.shape == want.shape
             assert np.array_equal(got.view(float), want.view(float))
             assert np.array_equal(np.signbit(got.view(float)), np.signbit(want.view(float)))
+
+
+# --- the commutant against the stacked constraint SVD ------------------------
+
+
+def _stacked_commutant(ch):
+    # the independent oracle: the nullspace of the full 2r d^2 x d^2 stack of
+    # [X, K_n] = 0 and [X, K_n^dag] = 0 on row-major vec(X)
+    d = ch.dim
+    eye = np.eye(d)
+    a = np.vstack([np.kron(eye, m.T) - np.kron(m, eye)
+                   for k in ch.kraus for m in (k, k.conj().T)])
+    _, s, vh = np.linalg.svd(a, full_matrices=False)
+    rank = int(np.sum(s > linalg.NULL_TOL))
+    return [vh[i].conj().reshape(d, d) for i in range(rank, d * d)]
+
+
+def _span_projector(basis, d):
+    b = np.array([x.reshape(-1) for x in basis]).reshape(-1, d * d).T
+    return b @ b.conj().T
+
+
+def _mixture(unitaries, rng):
+    weights = rng.dirichlet(np.ones(len(unitaries)))
+    return channels.kraus_channel([np.sqrt(w) * u for w, u in zip(weights, unitaries)])
+
+
+def _gio_with_classes(labels, n_kraus, rng):
+    # diagonal Kraus operators whose dynamical vectors are equal exactly within a class
+    shape = (n_kraus, max(labels) + 1)
+    v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    v /= np.linalg.norm(v, axis=0, keepdims=True)
+    return channels.kraus_channel([np.diag(row) for row in v[:, labels]])
+
+
+def _direct_sum(a, b):
+    m = np.zeros((len(a) + len(b),) * 2, dtype=complex)
+    m[: len(a), : len(a)], m[len(a):, len(a):] = a, b
+    return m
+
+
+def _structured_channels(seed):
+    rng = np.random.default_rng(seed)
+    d = 2 + seed % 5
+    half = (d + 1) // 2
+
+    def u(n):
+        return states.random_unitary(n, rng)
+
+    w = u(d)
+    gio = channels.random_gio(d, 1 + seed % 3, rng)
+    phases = rng.uniform(0.0, 2.0 * np.pi, (2, d))
+    phases[:, 1] = phases[:, 0] + 1e-8
+    return {
+        "gio": gio,
+        "mixed unitary": channels.random_mixed_unitary(d, 2, rng),
+        "block-diagonal unitaries": _mixture(
+            [_direct_sum(u(half), u(d - half)) for _ in range(3)], rng),
+        "U (x) I": _mixture([np.kron(u(2 + seed % 2), np.eye(2)) for _ in range(2)], rng),
+        "repeated dynamical vectors": _gio_with_classes(rng.integers(0, 2, d), 2, rng),
+        "basis-rotated gio": channels.kraus_channel(
+            [w @ k @ w.conj().T for k in gio.kraus]),
+        "identity": channels.kraus_channel([np.eye(d)]),
+        "complete dephasing": channels.kraus_channel([np.diag(e) for e in np.eye(d)]),
+        "phases 1e-8 apart": _mixture([np.diag(np.exp(1j * p)) for p in phases], rng),
+    }
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_commutant_matches_the_stacked_svd(seed):
+    for name, ch in _structured_channels(seed).items():
+        d = ch.dim
+        basis, oracle = channels.commutant(ch), _stacked_commutant(ch)
+        assert len(basis) == len(oracle), name
+        gap = np.max(np.abs(_span_projector(basis, d) - _span_projector(oracle, d)))
+        assert gap <= 1e-12, name
+        vecs = np.array([x.reshape(-1) for x in basis])
+        assert np.max(np.abs(vecs.conj() @ vecs.T - np.eye(len(basis)))) <= 1e-12, name
+        for x in basis:
+            for k in ch.kraus:
+                assert np.linalg.norm(x @ k - k @ x) <= 1e-10, name
+                assert np.linalg.norm(x @ k.conj().T - k.conj().T @ x) <= 1e-10, name
+
+
+def test_commutant_makes_one_full_decomposition(eig_calls):
+    ch = channels.random_mixed_unitary(5, 3, seed=2)
+    eig_calls.clear()
+    channels.commutant(ch)
+    assert eig_calls == ["eig"]
+
+
+def _classes(d, largest, rng):
+    # class labels of d indices, classes of sizes 1..largest, scattered by a permutation
+    sizes = []
+    while sum(sizes) < d:
+        sizes.append(min(int(rng.integers(1, largest + 1)), d - sum(sizes)))
+    return np.repeat(np.arange(len(sizes)), sizes)[rng.permutation(d)]
+
+
+@pytest.mark.parametrize("d, largest", [(32, 4), (64, 2)])
+def test_commutant_of_a_large_gio_is_its_class_blocks(d, largest):
+    rng = np.random.default_rng(d)
+    labels = _classes(d, largest, rng)
+    ch = _gio_with_classes(labels, 2, rng)
+    basis = channels.commutant(ch)
+    assert len(basis) == int(np.sum(np.bincount(labels) ** 2))
+    across = labels[:, None] != labels[None, :]
+    for x in basis:
+        assert np.max(np.abs(x[across])) <= 1e-10
+        res = channels.fixed_point_check(ch, x)
+        assert res.fixedness_residual <= 1e-10
+        assert res.identity_residual <= 1e-10
+
+
+def test_commutant_of_a_d64_mixed_unitary_is_the_identity_line():
+    basis = channels.commutant(channels.random_mixed_unitary(64, 2, seed=7))
+    assert len(basis) == 1
+    x = basis[0]
+    assert np.max(np.abs(x - np.trace(x) / 64 * np.eye(64))) <= 1e-10
+
+
+def test_sizes_past_max_entries_are_refused_before_allocating():
+    with pytest.raises(BadParameterError):
+        channels.channel_superoperator(channels.kraus_channel([np.eye(65)]))
+    # 2 r d^2 sum m_k^2 = 2 * 64^4 entries: the identity keeps one block of 64
+    with pytest.raises(BadParameterError):
+        channels.commutant(channels.kraus_channel([np.eye(64)]))
+
+
+def test_the_size_bound_counts_each_array_exactly(monkeypatch):
+    identity = channels.kraus_channel([np.eye(3)])
+    monkeypatch.setattr(linalg, "MAX_ENTRIES", 81)
+    assert channels.channel_superoperator(identity).shape == (9, 9)
+    # the identity's constraint matrix holds 2 * 1 * 9 * 9 = 162 entries
+    with pytest.raises(BadParameterError):
+        channels.commutant(identity)
+    monkeypatch.setattr(linalg, "MAX_ENTRIES", 80)
+    with pytest.raises(BadParameterError):
+        channels.channel_superoperator(identity)
+    monkeypatch.setattr(linalg, "MAX_ENTRIES", 162)
+    assert len(channels.commutant(identity)) == 9

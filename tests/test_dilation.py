@@ -4,6 +4,7 @@ import pytest
 from cohkit import channels, cli, dilation, instruments, states
 from cohkit.errors import (
     BadDimensionError,
+    BadParameterError,
     InvalidModelError,
     NotIsometryError,
     ShapeMismatchError,
@@ -119,6 +120,12 @@ def test_generalized_cnot_oracle():
     assert np.max(np.abs(u3.conj().T @ u3 - np.eye(9))) < 1e-12
     with pytest.raises(BadDimensionError):
         dilation.generalized_cnot(1)
+
+
+@pytest.mark.parametrize("dim", [65, 10**6])
+def test_generalized_cnot_refuses_more_than_max_entries(dim):
+    with pytest.raises(BadParameterError):
+        dilation.generalized_cnot(dim)
 
 
 def test_extend_to_unitary_restricts_to_isometry():
