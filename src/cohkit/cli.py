@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import functools
 import itertools
-import json
 import sys
 
 import numpy as np
@@ -327,7 +326,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     if getattr(args, "json", False):
-        print(json.dumps(doc, indent=2, default=serialize.to_json))
+        print("".join(serialize._chunks(doc)))
     else:
         print("\n".join(lines))
     return 0 if doc.get("passed", True) else 1

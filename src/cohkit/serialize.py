@@ -2,10 +2,22 @@
 
 Matrices are stored row-major as [re, im] pairs. Files keep the layout of
 json.dumps(to_json(obj), indent=2) byte for byte; one writer formats the
-entry arrays directly, and save writes them a block at a time. Structural
-problems with a document (bad JSON, missing keys, wrong entry counts) raise
-ParseError; documents that parse but describe an invalid object (non-positive
-state, non-orthonormal basis) raise the matching ValidationError subclass.
+entry arrays directly, and save writes them a block at a time. The same
+writer prints the command line's --json documents.
+
+loads reads every entry list written in that layout (each pair on its own
+lines, the list closed by a "]" at the indentation of its "entries" key,
+every value finite) as one flat array, without a Python list per pair. Any
+other text that json.loads accepts (minified, tab-indented, non-finite or
+irregular entries) is read by json.loads as a whole, so the accepted
+documents and every error message are the same on both paths.
+
+Sizes (a matrix's dim, a bipartite state's dims, a dilation's dimensions and
+a document's top-level dim) must be JSON integers; a top-level dim must match
+the matrices. Structural problems with a document (bad JSON, missing keys,
+wrong entry counts, bad sizes) raise ParseError; documents that parse but
+describe an invalid object (non-positive state, non-orthonormal basis) raise
+the matching ValidationError subclass.
 """
 
 from __future__ import annotations
@@ -36,16 +48,39 @@ from .states import (
 _BLOCK = 1024
 # json spells these floats NaN, Infinity and -Infinity; float.__repr__ does not
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+# what opens an entry list in the file layout; loads reads each one whole
+_KEY = '"entries": ['
+# JSON whitespace, and every character a JSON number is written with
+_SPACE, _NUMBER = b" \t\n\r", b"0123456789.eE+-"
+_UNBRACKET = bytes.maketrans(b"[]", b"  ")
+
+
+class _Entries:
+    """A matrix's entries as one flat C-ordered complex array.
+
+    Only this module makes one: _matrix_doc for the writer, and loads for an
+    entry list it read whole, every value finite. A document holding one is
+    never handed out, so matrix_from_json still takes lists of pairs only.
+    """
+
+    __slots__ = ("values",)
+
+    def __init__(self, values: np.ndarray):
+        self.values = values
+
+    def __len__(self) -> int:
+        return self.values.size
 
 
 def _matrix_doc(m) -> dict:
-    """A matrix object with its entries left as a C-ordered complex array."""
+    """A matrix object with its entries left as a complex array."""
     a = np.asarray(m, dtype=complex)
     if a.ndim == 1:
         a = a[:, None]
     if a.ndim != 2:
         raise ParseError("only vectors and matrices can be serialized")
-    return {"type": "matrix", "dim": list(a.shape), "entries": np.ascontiguousarray(a)}
+    entries = _Entries(np.ascontiguousarray(a).reshape(-1))
+    return {"type": "matrix", "dim": list(a.shape), "entries": entries}
 
 
 def _plain(doc):
@@ -54,8 +89,8 @@ def _plain(doc):
         return {key: _plain(value) for key, value in doc.items()}
     if isinstance(doc, list):
         return [_plain(value) for value in doc]
-    if isinstance(doc, np.ndarray):
-        return doc.view(float).reshape(-1, 2).tolist()
+    if isinstance(doc, _Entries):
+        return doc.values.view(float).reshape(-1, 2).tolist()
     return doc
 
 
@@ -63,18 +98,27 @@ def matrix_to_json(m) -> dict:
     return _plain(_matrix_doc(m))
 
 
+def _size(value, what: str) -> int:
+    """A size read from a document: a JSON integer, and a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParseError(f"non-integer {what}")
+    return value
+
+
 def matrix_from_json(obj) -> np.ndarray:
     if not isinstance(obj, dict) or obj.get("type") != "matrix":
         raise ParseError("expected a matrix object")
     try:
-        rows, cols = (int(x) for x in obj["dim"])
+        rows, cols = (_size(x, "matrix dimension") for x in obj["dim"])
         entries = obj["entries"]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed matrix object: {exc}") from exc
     if rows < 1 or cols < 1:
         raise ParseError("matrix dimensions must be positive")
-    if not isinstance(entries, list) or len(entries) != rows * cols:
+    if not isinstance(entries, (list, _Entries)) or len(entries) != rows * cols:
         raise ParseError("matrix entry count does not match its dimensions")
+    if isinstance(entries, _Entries):
+        return entries.values.reshape(rows, cols)
     try:
         values = np.asarray(entries, dtype=float)
     except (TypeError, ValueError, OverflowError):
@@ -99,6 +143,15 @@ def _require(obj: dict, key: str):
     if key not in obj:
         raise ParseError(f"missing required key {key!r}")
     return obj[key]
+
+
+def _sized(obj: dict, value):
+    """value, once the document's dim, where it has one, matches value.dim."""
+    if "dim" in obj and _size(obj["dim"], "document dimension") != value.dim:
+        raise ParseError(
+            f"document dim {obj['dim']} does not match its {value.dim}-dimensional matrices"
+        )
+    return value
 
 
 def _document(obj) -> dict:
@@ -162,22 +215,24 @@ def _entries(a: np.ndarray, indent: str):
     pair, number = indent + "  ", indent + "    "
     within = f",\n{number}"  # between re and im
     between = f"\n{pair}],\n{pair}[\n{number}"  # between two pairs
-    values = a.reshape(-1).view(float)
+    values = a.view(float)
     yield f"[\n{pair}[\n{number}"
     for start in range(0, values.size, 2 * _BLOCK):
         block = values[start:start + 2 * _BLOCK]
-        text = list(map(float.__repr__, block.tolist()))
-        if not np.isfinite(block).all():
-            text = [_NON_FINITE.get(t, t) for t in text]
         if start:
             yield between
+        if np.isfinite(block).all():  # %r is float.__repr__
+            yield between.join([f"%r{within}%r"] * (block.size // 2)) % tuple(block.tolist())
+            continue
+        text = [_NON_FINITE.get(t, t) for t in map(float.__repr__, block.tolist())]
         numbers = iter(text)
         yield between.join(map(within.join, zip(numbers, numbers)))
     yield f"\n{pair}]\n{indent}]"
 
 
 def _chunks(doc, indent: str = ""):
-    """Yield the text of json.dumps(_plain(doc), indent=2), piece by piece."""
+    """Yield the text of json.dumps(doc, indent=2, default=to_json), piece by
+    piece: library objects and bare arrays are written as their documents."""
     inner = indent + "  "
     if isinstance(doc, dict):
         if not doc:
@@ -189,7 +244,7 @@ def _chunks(doc, indent: str = ""):
             yield from _chunks(value, inner)
             sep = ",\n"
         yield f"\n{indent}}}"
-    elif isinstance(doc, list):
+    elif isinstance(doc, (list, tuple)):
         if not doc:
             yield "[]"
             return
@@ -199,15 +254,21 @@ def _chunks(doc, indent: str = ""):
             yield from _chunks(value, inner)
             sep = ",\n"
         yield f"\n{indent}]"
-    elif isinstance(doc, np.ndarray):
-        yield from _entries(doc, indent)
+    elif isinstance(doc, _Entries):
+        yield from _entries(doc.values, indent)
     elif isinstance(doc, str):
         yield json.encoder.encode_basestring_ascii(doc)
+    elif doc is None:
+        yield "null"
+    elif isinstance(doc, bool):  # before int: True is an int
+        yield "true" if doc else "false"
     elif isinstance(doc, float):
         text = float.__repr__(doc)
         yield _NON_FINITE.get(text, text)
-    else:
+    elif isinstance(doc, int):
         yield int.__repr__(doc)
+    else:
+        yield from _chunks(_document(doc), indent)
 
 
 def from_json(obj, expect: str | None = None):
@@ -222,10 +283,10 @@ def from_json(obj, expect: str | None = None):
     if kind == "matrix":
         return matrix_from_json(obj)
     if kind == "state":
-        return validate_density(matrix_from_json(_require(obj, "matrix")))
+        return _sized(obj, validate_density(matrix_from_json(_require(obj, "matrix"))))
     if kind == "observable":
         if "matrix" in obj:  # Hermitian matrix form, decomposed on load
-            return spectral_decompose(matrix_from_json(obj["matrix"]))
+            return _sized(obj, spectral_decompose(matrix_from_json(obj["matrix"])))
         values = _require(obj, "eigenvalues")
         if not isinstance(values, list):
             raise ParseError("eigenvalues must be a list")
@@ -236,7 +297,7 @@ def from_json(obj, expect: str | None = None):
             values = [float(v) for v in values]
         except (TypeError, ValueError, OverflowError) as exc:
             raise ParseError("non-numeric eigenvalue") from exc
-        return observable_from_projectors(values, [matrix_from_json(p) for p in projs])
+        return _sized(obj, observable_from_projectors(values, [matrix_from_json(p) for p in projs]))
     if kind == "fine_graining":
         blocks = _require(obj, "blocks")
         if not isinstance(blocks, list) or not blocks:
@@ -246,27 +307,21 @@ def from_json(obj, expect: str | None = None):
         ops = _require(obj, "kraus")
         if not isinstance(ops, list) or not ops:
             raise ParseError("channel must list at least one Kraus operator")
-        return kraus_channel([matrix_from_json(k) for k in ops])
+        return _sized(obj, kraus_channel([matrix_from_json(k) for k in ops]))
     if kind == "povm":
         effects = _require(obj, "effects")
         if not isinstance(effects, list) or not effects:
             raise ParseError("povm must list at least one effect")
-        return make_povm([matrix_from_json(e) for e in effects])
+        return _sized(obj, make_povm([matrix_from_json(e) for e in effects]))
     if kind == "bipartite":
         dims = _require(obj, "dims")
         if not isinstance(dims, list) or len(dims) != 2:
             raise ParseError("dims must be a two-element list")
-        try:
-            dim_a, dim_b = int(dims[0]), int(dims[1])
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ParseError("non-integer subsystem dimension") from exc
+        dim_a, dim_b = (_size(d, "subsystem dimension") for d in dims)
         return bipartite(matrix_from_json(_require(obj, "matrix")), dim_a, dim_b)
     if kind == "dilation":
-        try:
-            d_s = int(_require(obj, "system_dim"))
-            d_a = int(_require(obj, "ancilla_dim"))
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ParseError("non-integer dilation dimension") from exc
+        d_s = _size(_require(obj, "system_dim"), "dilation dimension")
+        d_a = _size(_require(obj, "ancilla_dim"), "dilation dimension")
         init = matrix_from_json(_require(obj, "apparatus_init"))
         if init.shape[1] != 1:
             raise ParseError("apparatus_init must be a single-column matrix")
@@ -285,13 +340,96 @@ def dumps(obj) -> str:
     return "".join(_chunks(_document(obj)))
 
 
+def _pairs(span: str):
+    """The values of an entry list `[[re, im], ...]` as a flat complex array,
+    or None unless span is exactly such a list with every value finite.
+
+    Raises ValueError for non-ASCII text or text json.loads refuses, and
+    OverflowError for numbers numpy cannot hold as floats.
+    """
+    raw = span.encode("ascii")
+    compact = raw.translate(None, _SPACE)
+    n = compact.count(b"[") - 1
+    # the brackets and commas of n pairs in order, and no number outside a
+    # pair: it starts "[[", ends "]]", and each other "]" is followed by ",["
+    if (compact.translate(None, _NUMBER) != b"[[,]" + b",[,]" * (n - 1) + b"]"
+            or compact[:2] != b"[[" or compact[-2:] != b"]]" or compact.count(b"],[") != n - 1):
+        return None
+    # with the inner brackets blanked the pairs are one flat JSON array, so
+    # each number is read by json's own number grammar
+    flat = bytearray(raw.translate(_UNBRACKET))
+    flat[0], flat[-1] = ord("["), ord("]")
+    values = np.array(json.loads(flat), dtype=float)
+    return values.view(complex) if np.isfinite(values).all() else None
+
+
+def _place(node, slots: dict, arrays: list, placed: list) -> bool:
+    """Put arrays[k] where placeholder k stands in a parsed skeleton; False
+    if a placeholder stands anywhere but as the value of an "entries" key."""
+    for key, value in node.items() if isinstance(node, dict) else enumerate(node):
+        if isinstance(value, (dict, list)):
+            if not _place(value, slots, arrays, placed):
+                return False
+        elif isinstance(value, str) and value in slots:
+            if key != "entries":
+                return False
+            placed.append(slots[value])
+            node[key] = _Entries(arrays[slots[value]])
+    return True
+
+
+def _read_whole(text: str):
+    """json.loads(text) with every entry list read as one array, or None
+    unless text has entry lists and each "entries": [ opens one in the file
+    layout.
+
+    Each list runs to the first "]" at the start of a line with the
+    indentation of its key. It is replaced by a placeholder string, and the
+    small skeleton left is parsed with json.loads; each placeholder must come
+    back once, as the value of an "entries" key, so none was inside a string,
+    another key or a duplicate key.
+    """
+    pieces, arrays, pos = [], [], 0
+    while (at := text.find(_KEY, pos)) >= 0:
+        start = at
+        while start and text[start - 1] == " ":
+            start -= 1
+        indent, open_at = text[start:at], at + len(_KEY) - 1
+        close = text.find(f"\n{indent}]", open_at)
+        if close < 0:
+            return None
+        end = close + len(indent) + 2
+        values = _pairs(text[open_at:end])
+        if values is None:
+            return None
+        pieces += (text[pos:open_at], f'"\\u0000{len(arrays)}"')
+        arrays.append(values)
+        pos = end
+    if not arrays:
+        return None
+    pieces.append(text[pos:])
+    doc = json.loads("".join(pieces))
+    placed = []
+    slots = {f"\0{k}": k for k in range(len(arrays))}
+    if not _place(doc, slots, arrays, placed) or sorted(placed) != list(range(len(arrays))):
+        return None
+    return doc
+
+
 def loads(text: str, expect: str | None = None):
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from exc
-    except RecursionError:
-        raise ParseError("invalid JSON: nesting too deep") from None
+    doc = None
+    if isinstance(text, str):
+        try:
+            doc = _read_whole(text)
+        except (ValueError, OverflowError, RecursionError):
+            pass  # json.loads below reads the text as a whole, or names the error
+    if doc is None:
+        try:
+            doc = json.loads(text)
+        except ValueError as exc:  # a decode error, or an integer too long to convert
+            raise ParseError(f"invalid JSON: {exc}") from exc
+        except RecursionError:
+            raise ParseError("invalid JSON: nesting too deep") from None
     return from_json(doc, expect)
 
 

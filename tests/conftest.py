@@ -2,12 +2,20 @@
 
 pytest's ``pythonpath`` setting only reaches this process; tests that run
 ``python -m cohkit.cli`` in a child process find ``src`` through PYTHONPATH.
+BLAS runs on one thread unless the environment says otherwise: set before
+numpy loads, and inherited by those child processes.
 """
 
 import os
-from pathlib import Path
 
-import pytest
+# on a 2-core host a second BLAS thread per process oversubscribes the cores
+# whenever anything else runs, and single d=64 tests went from 0.5 s to 21 s
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+from pathlib import Path  # noqa: E402
+
+import pytest  # noqa: E402
 
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))

@@ -340,7 +340,10 @@ def _set(keys, index):
     ("observable", _set(("eigenvalues",), 0), "1" + "0" * 400),
     ("state", _set(("matrix", "dim"), 0), "1e400"),
     ("bipartite", _set(("dims",), 0), "1e400"),
-], ids=["entries", "eigenvalues", "dim", "dims"])
+    # past CPython's 4300-digit limit, where json.loads itself raises
+    ("state", _set(("matrix", "entries", 0), 0), "7" * 5000),
+    ("state", _set(("matrix", "dim"), 0), "7" * 5000),
+], ids=["entries", "eigenvalues", "dim", "dims", "entries-digits", "dim-digits"])
 def test_oversized_numbers_are_parse_errors(tmp_path, target, edit, literal):
     files = {"state": tmp_path / "state.json", "observable": tmp_path / "obs.json",
              "bipartite": tmp_path / "bip.json"}
@@ -469,20 +472,27 @@ TEXT_AND_JSON = {
 }
 
 
+INPUTS = {
+    "state": ["state", "--dim", "4"],
+    "obs": ["observable", "--dim", "4", "--profile", "2,1,1"],
+    "gio": ["channel", "--family", "gio", "--dim", "4", "--kraus", "2"],
+    "sio": ["channel", "--family", "sio", "--dim", "4", "--kraus", "2"],
+    "io": ["channel", "--family", "io", "--dim", "4"],
+    "bip": ["bipartite", "--dims", "2,2"],
+    "obsb": ["observable", "--dim", "2"],
+}
+
+
+def _argv(tmp_path, names) -> list[str]:
+    """The command line of names, its input files written to tmp_path."""
+    for name, flags in INPUTS.items():
+        assert run_cli("gen", *flags, "--seed", "3", "--out", str(tmp_path / f"{name}.json"))[0] == 0
+    return [str(tmp_path / f"{n}.json") if n in INPUTS or n == "model" else n for n in names]
+
+
 @pytest.mark.parametrize("names", TEXT_AND_JSON.values(), ids=TEXT_AND_JSON.keys())
 def test_text_renders_the_json_document(tmp_path, names):
-    gen = {
-        "state": ["state", "--dim", "4"],
-        "obs": ["observable", "--dim", "4", "--profile", "2,1,1"],
-        "gio": ["channel", "--family", "gio", "--dim", "4", "--kraus", "2"],
-        "sio": ["channel", "--family", "sio", "--dim", "4", "--kraus", "2"],
-        "io": ["channel", "--family", "io", "--dim", "4"],
-        "bip": ["bipartite", "--dims", "2,2"],
-        "obsb": ["observable", "--dim", "2"],
-    }
-    for name, flags in gen.items():
-        assert run_cli("gen", *flags, "--seed", "3", "--out", str(tmp_path / f"{name}.json"))[0] == 0
-    argv = [str(tmp_path / f"{n}.json") if n in gen or n == "model" else n for n in names]
+    argv = _argv(tmp_path, names)
     code, text, _ = run_cli(*argv)
     assert code == 0
     code, out, _ = run_cli(*argv, "--json")
@@ -601,3 +611,33 @@ def test_bad_inputs_are_refused_without_a_traceback(tmp_path, call, code, messag
     assert (got, text) == (code, "")
     assert re.search(message, err)
     assert not files["out"].exists()
+
+
+JSON_COMMANDS = {
+    **TEXT_AND_JSON,
+    "measure-fine-grain": ["measure", "state", "obs", "--fine-grain", "fg"],
+    "verify": ["verify", "--seed", "4", "--dim-max", "3"],  # "trials": null
+    "verify-corrupt": ["verify", "--trials", "1", "--dim-max", "3", "--corrupt"],
+}
+
+
+@pytest.mark.parametrize("names", JSON_COMMANDS.values(), ids=JSON_COMMANDS.keys())
+def test_json_output_is_the_stdlib_encoding_of_the_document(tmp_path, monkeypatch, names):
+    argv = _argv(tmp_path, names)
+    if "fg" in argv:
+        obs = serialize.load(tmp_path / "obs.json", expect="observable")
+        serialize.save(tmp_path / "fg.json", states.fine_graining(obs))
+        argv[argv.index("fg")] = str(tmp_path / "fg.json")
+    name, docs = f"_cmd_{names[0]}", []
+    command = getattr(cli, name)
+
+    def recorded(args):
+        doc, lines = command(args)
+        docs.append(doc)
+        return doc, lines
+
+    monkeypatch.setattr(cli, name, recorded)
+    code, out, _ = run_cli(*argv, "--json")
+    assert code == (1 if "--corrupt" in argv else 0)
+    (doc,) = docs
+    assert out == json.dumps(doc, indent=2, default=serialize.to_json) + "\n"
