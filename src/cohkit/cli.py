@@ -326,7 +326,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     if getattr(args, "json", False):
-        print("".join(serialize._chunks(doc)))
+        print(serialize._text(doc))
     else:
         print("\n".join(lines))
     return 0 if doc.get("passed", True) else 1

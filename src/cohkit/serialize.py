@@ -9,8 +9,9 @@ loads reads every entry list written in that layout (each pair on its own
 lines, the list closed by a "]" at the indentation of its "entries" key,
 every value finite) as one flat array, without a Python list per pair. Any
 other text that json.loads accepts (minified, tab-indented, non-finite or
-irregular entries) is read by json.loads as a whole, so the accepted
-documents and every error message are the same on both paths.
+irregular entries, or a \\u0000 escape anywhere) is read by json.loads as a
+whole, so the accepted documents and every error message are the same on
+both paths.
 
 Sizes (a matrix's dim, a bipartite state's dims, a dilation's dimensions and
 a document's top-level dim) must be JSON integers; a top-level dim must match
@@ -207,68 +208,85 @@ def to_json(obj) -> dict:
     return _plain(_document(obj))
 
 
-def _entries(a: np.ndarray, indent: str):
-    """Yield the text of an entry list, _BLOCK entries per piece."""
+def _entries(a: np.ndarray, emit, indent: str) -> None:
+    """Emit the text of an entry list, _BLOCK entries per piece."""
     if not a.size:
-        yield "[]"
+        emit("[]")
         return
     pair, number = indent + "  ", indent + "    "
     within = f",\n{number}"  # between re and im
     between = f"\n{pair}],\n{pair}[\n{number}"  # between two pairs
     values = a.view(float)
-    yield f"[\n{pair}[\n{number}"
+    emit(f"[\n{pair}[\n{number}")
     for start in range(0, values.size, 2 * _BLOCK):
         block = values[start:start + 2 * _BLOCK]
         if start:
-            yield between
-        if np.isfinite(block).all():  # %r is float.__repr__
-            yield between.join([f"%r{within}%r"] * (block.size // 2)) % tuple(block.tolist())
-            continue
-        text = [_NON_FINITE.get(t, t) for t in map(float.__repr__, block.tolist())]
-        numbers = iter(text)
-        yield between.join(map(within.join, zip(numbers, numbers)))
-    yield f"\n{pair}]\n{indent}]"
+            emit(between)
+        # %r is float.__repr__, which spells the non-finite floats nan, inf
+        # and -inf; no finite float's repr holds those letters
+        text = between.join([f"%r{within}%r"] * (block.size // 2)) % tuple(block.tolist())
+        if not np.isfinite(block).all():
+            text = text.replace("nan", "NaN").replace("inf", "Infinity")
+        emit(text)
+    emit(f"\n{pair}]\n{indent}]")
 
 
-def _chunks(doc, indent: str = ""):
-    """Yield the text of json.dumps(doc, indent=2, default=to_json), piece by
-    piece: library objects and bare arrays are written as their documents."""
-    inner = indent + "  "
-    if isinstance(doc, dict):
-        if not doc:
-            yield "{}"
-            return
-        sep = "{\n"
-        for key, value in doc.items():
-            yield f"{sep}{inner}{json.encoder.encode_basestring_ascii(key)}: "
-            yield from _chunks(value, inner)
-            sep = ",\n"
-        yield f"\n{indent}}}"
-    elif isinstance(doc, (list, tuple)):
-        if not doc:
-            yield "[]"
-            return
-        sep = "[\n"
-        for value in doc:
-            yield sep + inner
-            yield from _chunks(value, inner)
-            sep = ",\n"
-        yield f"\n{indent}]"
-    elif isinstance(doc, _Entries):
-        yield from _entries(doc.values, indent)
-    elif isinstance(doc, str):
-        yield json.encoder.encode_basestring_ascii(doc)
-    elif doc is None:
-        yield "null"
-    elif isinstance(doc, bool):  # before int: True is an int
-        yield "true" if doc else "false"
-    elif isinstance(doc, float):
+def _scalar(doc) -> str | None:
+    """The JSON text of a float, string, bool, int or None; None for others."""
+    if isinstance(doc, float):
         text = float.__repr__(doc)
-        yield _NON_FINITE.get(text, text)
-    elif isinstance(doc, int):
-        yield int.__repr__(doc)
+        return _NON_FINITE.get(text, text)
+    if isinstance(doc, str):
+        return json.encoder.encode_basestring_ascii(doc)
+    if isinstance(doc, bool):  # before int: True is an int
+        return "true" if doc else "false"
+    if isinstance(doc, int):
+        return int.__repr__(doc)
+    if doc is None:
+        return "null"
+    return None
+
+
+def _write(doc, emit, indent: str = "") -> None:
+    """Pass the text of json.dumps(doc, indent=2, default=to_json) to emit,
+    piece by piece: library objects and bare arrays are written as their
+    documents. A scalar goes out with its key or list item."""
+    if isinstance(doc, (dict, list, tuple)):
+        if not doc:
+            emit("{}" if isinstance(doc, dict) else "[]")
+            return
+        inner = indent + "  "
+        if isinstance(doc, dict):
+            sep, closer = "{\n", f"\n{indent}}}"
+            items = (
+                (f"{inner}{json.encoder.encode_basestring_ascii(key)}: ", value)
+                for key, value in doc.items()
+            )
+        else:
+            sep, closer = "[\n", f"\n{indent}]"
+            items = ((inner, value) for value in doc)
+        for head, value in items:
+            text = _scalar(value)
+            if text is None:
+                emit(sep + head)
+                _write(value, emit, inner)
+            else:
+                emit(sep + head + text)
+            sep = ",\n"
+        emit(closer)
+    elif isinstance(doc, _Entries):
+        _entries(doc.values, emit, indent)
+    elif (text := _scalar(doc)) is not None:
+        emit(text)
     else:
-        yield from _chunks(_document(doc), indent)
+        _write(_document(doc), emit, indent)
+
+
+def _text(doc) -> str:
+    """json.dumps(doc, indent=2, default=to_json), written by _write."""
+    parts = []
+    _write(doc, parts.append)
+    return "".join(parts)
 
 
 def from_json(obj, expect: str | None = None):
@@ -337,7 +355,7 @@ def from_json(obj, expect: str | None = None):
 
 def dumps(obj) -> str:
     """The document of obj in the layout of json.dumps(to_json(obj), indent=2)."""
-    return "".join(_chunks(_document(obj)))
+    return _text(_document(obj))
 
 
 def _pairs(span: str):
@@ -387,8 +405,11 @@ def _read_whole(text: str):
     indentation of its key. It is replaced by a placeholder string, and the
     small skeleton left is parsed with json.loads; each placeholder must come
     back once, as the value of an "entries" key, so none was inside a string,
-    another key or a duplicate key.
+    another key or a duplicate key. A text that spells NUL is left whole to
+    json.loads, so no string in it can equal a placeholder.
     """
+    if "\\u0000" in text:  # the only way JSON spells NUL, so no string is a placeholder
+        return None
     pieces, arrays, pos = [], [], 0
     while (at := text.find(_KEY, pos)) >= 0:
         start = at
@@ -442,8 +463,7 @@ def save(path, obj) -> None:
     doc = _document(obj)
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            for chunk in _chunks(doc):
-                fh.write(chunk)
+            _write(doc, fh.write)
             fh.write("\n")
     except OSError as exc:
         raise ParseError(f"cannot write {path}: {exc}") from exc

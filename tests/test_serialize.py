@@ -296,6 +296,8 @@ LOADER_TEXTS = {
     # a string that reads as the loader's placeholder, where a matrix's entries go
     "placeholder-collision": json.dumps({"type": "matrix", "dim": [2, 2], "entries": "\u00000",
                                          "other": serialize.matrix_to_json(_M)}, indent=2),
+    # the same, as a duplicate key after a list the loader reads whole
+    "placeholder-after-entries": _LAYOUT[:-2] + ',\n  "entries": "\\u00000"\n}',
     "non-ascii-elsewhere": _state_text(note="Lüders ✓ ρ"),
     "deep-nesting": _nested(200),
     "too-deep": _nested(100_000),
