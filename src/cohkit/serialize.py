@@ -15,7 +15,8 @@ both paths.
 
 Sizes (a matrix's dim, a bipartite state's dims, a dilation's dimensions and
 a document's top-level dim) must be JSON integers; a top-level dim must match
-the matrices. Structural problems with a document (bad JSON, missing keys,
+the matrices. Matrix entries and observable eigenvalues must be JSON numbers,
+and a string or a bool is not one. Structural problems with a document (bad JSON, missing keys,
 wrong entry counts, bad sizes) raise ParseError; documents that parse but
 describe an invalid object (non-positive state, non-orthonormal basis) raise
 the matching ValidationError subclass.
@@ -24,6 +25,7 @@ the matching ValidationError subclass.
 from __future__ import annotations
 
 import json
+from itertools import chain
 
 import numpy as np
 
@@ -106,6 +108,13 @@ def _size(value, what: str) -> int:
     return value
 
 
+def _number(value) -> float:
+    """A number read from a document: a JSON number, and a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{value!r} is not a number")
+    return float(value)
+
+
 def matrix_from_json(obj) -> np.ndarray:
     if not isinstance(obj, dict) or obj.get("type") != "matrix":
         raise ParseError("expected a matrix object")
@@ -124,17 +133,19 @@ def matrix_from_json(obj) -> np.ndarray:
         values = np.asarray(entries, dtype=float)
     except (TypeError, ValueError, OverflowError):
         values = None
-    # numpy reads None as NaN and accepts tuples, so anything short of finite
-    # [re, im] lists goes through the loop below, which names the bad index
+    # numpy reads None as NaN, a string or a bool as a number, and accepts
+    # tuples, so anything short of finite [re, im] lists of JSON numbers goes
+    # through the loop below, which names the bad index
     if (values is not None and values.shape == (rows * cols, 2)
-            and np.isfinite(values).all() and all(map(list.__instancecheck__, entries))):
+            and np.isfinite(values).all() and all(map(list.__instancecheck__, entries))
+            and set(map(type, chain.from_iterable(entries))) <= {int, float}):
         return values.view(complex).reshape(rows, cols)  # keeps the sign of -0.0
     flat = np.empty(rows * cols, dtype=complex)
     for i, pair in enumerate(entries):
         if not isinstance(pair, list) or len(pair) != 2:
             raise ParseError("matrix entries must be [re, im] pairs")
         try:
-            flat[i] = complex(float(pair[0]), float(pair[1]))
+            flat[i] = complex(_number(pair[0]), _number(pair[1]))
         except (TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"non-numeric matrix entry at index {i}") from exc
     return flat.reshape(rows, cols)
@@ -312,7 +323,7 @@ def from_json(obj, expect: str | None = None):
         if not isinstance(projs, list) or len(projs) != len(values):
             raise ParseError("projector count must match eigenvalue count")
         try:
-            values = [float(v) for v in values]
+            values = [_number(v) for v in values]
         except (TypeError, ValueError, OverflowError) as exc:
             raise ParseError("non-numeric eigenvalue") from exc
         return _sized(obj, observable_from_projectors(values, [matrix_from_json(p) for p in projs]))

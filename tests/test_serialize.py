@@ -246,6 +246,11 @@ def _state_text(**extra):
     return json.dumps({**serialize.to_json(rho), **extra}, indent=2, ensure_ascii=False)
 
 
+def _observable_text(eigenvalues):
+    obs = states.observable_from_projectors([1.0, 0.0], [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+    return json.dumps({**serialize.to_json(obs), "eigenvalues": eigenvalues}, indent=2)
+
+
 def _with_pair(pair: str) -> str:
     assert _LAYOUT.count(_FIRST) == 1
     return _LAYOUT.replace(_FIRST, pair)
@@ -286,6 +291,11 @@ LOADER_TEXTS = {
     "overflow": _with_pair(_pair("1e400", "-0.0")),
     "huge-int": _with_pair(_pair("1" + "0" * 400, "-0.0")),
     "null": _with_pair(_pair("null", "-0.0")),
+    # json.loads keeps these as strings and bools, which are not numbers
+    "string-entries": _with_pair(_pair('"0.5"', '"1e0"')),
+    "bool-entries": _with_pair(_pair("true", "false")),
+    "string-eigenvalue": _observable_text(["2", 0.0]),
+    "bool-eigenvalue": _observable_text([True, 0.0]),
     "non-ascii-space": _with_pair(_pair("0.25\u00a0", "-0.0")),
     "duplicate-entries": _LAYOUT[:-2] + ",\n  " + _LAYOUT[_LAYOUT.index('"entries"'):].replace("0.25", "9.5"),
     "entries-in-a-string": _state_text(note='"entries": [\n  [\n    1,\n    2\n  ]\n]'),
@@ -343,7 +353,8 @@ def test_the_table_covers_both_paths():
     fast = {name for name, text in LOADER_TEXTS.items() if _read_whole(text) is not None}
     assert fast == {"layout", "state", "indent-4", "crlf", "ints", "exponents", "entries-in-a-string",
                     "extra-pair", "entries-elsewhere", "non-ascii-elsewhere",
-                    "deep-nesting", "wrong-count", "float-dim"}
+                    "deep-nesting", "wrong-count", "float-dim",
+                    "string-eigenvalue", "bool-eigenvalue"}
 
 
 @pytest.mark.parametrize("kind", sorted(KINDS))
@@ -354,6 +365,17 @@ def test_every_saved_kind_takes_the_whole_list_path(kind):
     assert doc is not None
     # compared as text, which tells -0.0 from 0.0 and 1 from 1.0
     assert json.dumps(serialize._plain(doc)) == json.dumps(json.loads(text))
+
+
+@pytest.mark.parametrize("name, message", [
+    ("string-entries", "non-numeric matrix entry at index 0"),
+    ("bool-entries", "non-numeric matrix entry at index 0"),
+    ("string-eigenvalue", "non-numeric eigenvalue"),
+    ("bool-eigenvalue", "non-numeric eigenvalue"),
+])
+def test_entries_and_eigenvalues_must_be_json_numbers(name, message):
+    with pytest.raises(ParseError, match=message):
+        serialize.loads(LOADER_TEXTS[name])
 
 
 @pytest.mark.parametrize("where", ["entries", "dim"])

@@ -74,11 +74,14 @@ NAMES = (
     "povm_coherence_nonneg",
     "povm_projective_reduction",
 )
-WHOLE = {
-    "discord_decomposition",
-    "dilation_round_trips",
-    "dilation_unitarity",
-    "apparatus_coherence_generation",
+# cases per run at trials=2 of the checks declared with trials=None: eleven
+# dilation cases whatever the trial count, and one fixed case besides the
+# drawn ones for discord (its witness state) and apparatus (phase damping)
+CASES = {
+    "discord_decomposition": 3,
+    "dilation_round_trips": 11,
+    "dilation_unitarity": 11,
+    "apparatus_coherence_generation": 3,
 }
 
 
@@ -90,16 +93,15 @@ def test_registry_lists_every_property_in_seed_order():
 
 
 def test_run_all_runs_each_per_trial_property_trials_times():
-    trials = {check.__wrapped__.__code__: check.__name__ for check in verify.REGISTRY
-              if hasattr(check, "__wrapped__")}
-    assert sorted(name.removeprefix("_check_") for name in trials.values()) == sorted(
-        set(NAMES) - WHOLE
-    )
-    calls = dict.fromkeys(trials, 0)
+    names = {check.__wrapped__.__code__: check.__name__.removeprefix("_check_")
+             for check in verify.REGISTRY}
+    assert sorted(names.values()) == sorted(NAMES)
+    values = dict.fromkeys(names, 0)
 
     def count(frame, event, arg):
-        if event == "call" and frame.f_code in calls:
-            calls[frame.f_code] += 1
+        # a trial returns one value; a case generator returns one at each yield
+        if event == "return" and arg is not None and frame.f_code in values:
+            values[frame.f_code] += 1
 
     sys.setprofile(count)
     try:
@@ -107,7 +109,22 @@ def test_run_all_runs_each_per_trial_property_trials_times():
     finally:
         sys.setprofile(None)
     assert [r.name for r in results] == sorted(NAMES)
-    assert {trials[code]: n for code, n in calls.items()} == dict.fromkeys(trials.values(), 2)
+    assert {names[code]: n for code, n in values.items()} == {n: CASES.get(n, 2) for n in NAMES}
+
+
+@pytest.mark.parametrize("module, name, check, detail", [
+    (verify, "_conditional_mutual_information_sum", "discord_decomposition",
+     "degenerate-block conditional information up to 0.000e+00"),
+    (coherence, "c_l1", "apparatus_coherence_generation", "apparatus coherence reaches 0.000e+00"),
+], ids=["discord", "apparatus"])
+def test_a_witness_that_never_clears_its_bound_fails_the_property(
+    monkeypatch, module, name, check, detail
+):
+    monkeypatch.setattr(module, name, lambda *args: 0.0)
+    result = getattr(verify, "_check_" + check)(np.random.SeedSequence(0), VerifyConfig(trials=1))
+    assert (result.name, result.passed, result.worst, result.detail) == (
+        check, False, math.inf, detail
+    )
 
 
 @pytest.mark.parametrize("setting", [
