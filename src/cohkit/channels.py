@@ -8,7 +8,13 @@ is made: every class is read off it, and GIO is the case where every index
 map f_n is the identity. Channels are immutable: one read-only (r, d, d)
 stack of Kraus operators, factored in one vectorized pass on first use and
 kept. A reference basis gives a new, rotated channel, factored afresh. To
-change a channel, build a new one.
+change a channel, build a new one. A CorrelationMatrix is immutable too, and
+is checked once, when it is built.
+
+apply_channel returns a checked DensityMatrix for a trace-preserving channel,
+so an input that is not a state raises. evolve_path checks its input state
+once and wraps each later step unchecked, since a trace-preserving channel
+maps states to states; each step computes its spectrum on first use.
 """
 
 from __future__ import annotations
@@ -32,7 +38,14 @@ from .errors import (
     NotUnitalError,
     ShapeMismatchError,
 )
-from .states import DensityMatrix, _integer, _read_only, as_generator, random_unitary
+from .states import (
+    DensityMatrix,
+    _integer,
+    _read_only,
+    _unchecked_density,
+    as_generator,
+    random_unitary,
+)
 
 GIO = "GIO"
 SIO_NOT_GIO = "SIO-not-GIO"
@@ -99,9 +112,7 @@ def kraus_channel(ops) -> KrausChannel:
 
 def apply_to_operator(ch: KrausChannel, x) -> np.ndarray:
     """Linear action sum_i K_i X K_i^dag on an arbitrary operator."""
-    m = linalg.as_square(x)
-    if m.shape[0] != ch.dim:
-        raise DimMismatchError("operator and channel dimensions differ")
+    m = linalg.as_square(x, ch.dim, "operator and channel")
     ks = ch.kraus
     # np.sum adds the products in Kraus order onto +0, as `out += K X K^dag`
     # per operator would: the same bits, signed zeros included
@@ -258,27 +269,31 @@ def _correlation_spectrum(c: np.ndarray) -> linalg.Spectrum:
     return spec
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class CorrelationMatrix:
     """Gram matrix of the dynamical vectors of a diagonal-Kraus channel.
 
     vectors[:, i] is the i-th dynamical vector (one component per Kraus
     operator); the matrix is its Gram matrix, PSD with unit diagonal.
+    Immutable and checked when built: both arrays are read-only copies, and
+    a matrix that breaks the contract, or vectors that do not factor it, raise.
     """
 
     matrix: np.ndarray
     vectors: np.ndarray
 
+    def __post_init__(self):
+        c = _read_only(linalg.as_square(self.matrix))
+        vectors = _read_only(self.vectors)
+        _correlation_spectrum(c)
+        if np.max(np.abs(vectors.conj().T @ vectors - c)) > linalg.DEFAULT_TOL:
+            raise BadParameterError("vectors are not a Gram factorization of the matrix")
+        object.__setattr__(self, "matrix", c)
+        object.__setattr__(self, "vectors", vectors)
+
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    def validate(self) -> "CorrelationMatrix":
-        c = linalg.as_square(self.matrix)
-        _correlation_spectrum(c)
-        if np.max(np.abs(self.vectors.conj().T @ self.vectors - c)) > linalg.DEFAULT_TOL:
-            raise BadParameterError("vectors are not a Gram factorization of the matrix")
-        return self
 
 
 def correlation_matrix_of(ch: KrausChannel, basis=None) -> CorrelationMatrix:
@@ -289,10 +304,7 @@ def correlation_matrix_of(ch: KrausChannel, basis=None) -> CorrelationMatrix:
     if classify(ch) != GIO:
         raise NotGIOError("Kraus operators are not all diagonal in this basis")
     vectors = np.diagonal(ch.kraus, axis1=1, axis2=2).copy()  # shape (r, d)
-    c = vectors.conj().T @ vectors
-    if np.max(np.abs(np.diag(c) - 1.0)) > linalg.DEFAULT_TOL:
-        raise DiagonalNotOneError("dynamical vectors are not normalized")
-    return CorrelationMatrix(matrix=c, vectors=vectors)
+    return CorrelationMatrix(matrix=vectors.conj().T @ vectors, vectors=vectors)
 
 
 def gio_from_correlation(c) -> KrausChannel:
@@ -302,8 +314,7 @@ def gio_from_correlation(c) -> KrausChannel:
     ``linalg.RANK_TOL``, so the number of Kraus operators equals the matrix
     rank.
     """
-    mat = c.matrix if isinstance(c, CorrelationMatrix) else linalg.as_square(c)
-    spec = _correlation_spectrum(mat)
+    spec = _correlation_spectrum(linalg.as_square(c))
     keep = spec.eigenvalues > linalg.RANK_TOL
     vectors = (np.sqrt(spec.eigenvalues[keep])[:, None]) * spec.eigenvectors[:, keep].conj().T
     return kraus_channel([np.diag(row) for row in vectors])
@@ -390,9 +401,7 @@ def fixed_point_check(ch: KrausChannel, x) -> FixedPointResult:
     rounding level for all inputs. On a fixed point of a unital channel the
     right side collapses to Phi(XX^dag) - XX^dag.
     """
-    m = linalg.as_square(x)
-    if m.shape[0] != ch.dim:
-        raise DimMismatchError("operator and channel dimensions differ")
+    m = linalg.as_square(x, ch.dim, "operator and channel")
     phi_x = apply_to_operator(ch, m)
     fixedness = linalg.hs_norm(phi_x - m)
     comm = m @ ch.kraus - ch.kraus @ m
@@ -411,19 +420,24 @@ def fixed_point_check(ch: KrausChannel, x) -> FixedPointResult:
 
 def evolve_path(ch: KrausChannel, rho, n: int) -> list[DensityMatrix]:
     """States after 0..n applications. Diagonal-Kraus channels step through
-    their Schur form, so entry (i, j) follows the exact power law C_ji^n rho_ij."""
+    their Schur form, so entry (i, j) follows the exact power law C_ji^n rho_ij.
+
+    The input is checked as a state once. Each later step is wrapped without
+    a second check, because a trace-preserving channel maps states to states
+    (for a diagonal-Kraus channel, by the Schur product theorem); a step's
+    spectrum is computed on first use.
+    """
     if _integer("step count", n) < 0:
         raise BadParameterError("step count must be nonnegative")
     if not ch.trace_preserving:
         raise NotTracePreservingError("evolution is defined for channels")
-    x = linalg.as_square(rho)
-    if x.shape[0] != ch.dim:
-        raise DimMismatchError("operator and channel dimensions differ")
+    state = rho if isinstance(rho, DensityMatrix) else DensityMatrix(rho)
+    x = linalg.as_square(state, ch.dim, "operator and channel")
     schur = correlation_matrix_of(ch).matrix.T if classify(ch) == GIO else None
-    path = [DensityMatrix(matrix=x)]
+    path = [state]
     for _ in range(n):
         x = schur * x if schur is not None else apply_to_operator(ch, x)
-        path.append(DensityMatrix(matrix=x))
+        path.append(_unchecked_density(x))
     return path
 
 

@@ -168,7 +168,7 @@ def _cmd_evolve(args):
         m = state.matrix
         off = float(np.max(np.abs(m - np.diag(np.diag(m))))) if m.shape[0] > 1 else 0.0
         rows.append({"step": step, "max_offdiag": off,
-                     "entropy": linalg.von_neumann_entropy(m)})
+                     "entropy": linalg.von_neumann_entropy(state)})
     lines = ["step,max_offdiag,entropy", *(
         f"{r['step']},{_fmt(r['max_offdiag'])},{_fmt(r['entropy'])}" for r in rows
     )]

@@ -12,7 +12,7 @@ import numpy as np
 from . import linalg
 from .errors import DimMismatchError, IncompatibleFineGrainingError
 from .instruments import luders
-from .states import BipartiteState, DensityMatrix, FineGraining, Observable, Povm, fine_graining
+from .states import BipartiteState, FineGraining, Observable, Povm, fine_graining
 
 
 def c_l1(rho, basis) -> float:
@@ -28,7 +28,7 @@ def c_re(rho, basis) -> float:
     r = linalg.as_square(rho)
     b = linalg.basis_matrix(basis, r.shape[0])
     diag = np.real(np.diag(b.conj().T @ r @ b))
-    return linalg.shannon_entropy(diag) - linalg.von_neumann_entropy(r)
+    return linalg.shannon_entropy(diag) - linalg.von_neumann_entropy(rho)
 
 
 def _checked_fine_graining(obs: Observable, fg: FineGraining | None) -> FineGraining:
@@ -45,10 +45,8 @@ def c_l1_coarse(rho, obs: Observable, fg: FineGraining | None = None) -> float:
     The entrywise l1 norm needs a basis inside each block, so the declared
     fine-graining fixes it; the set of blocks themselves does not depend on it.
     """
-    r = linalg.as_square(rho)
+    r = linalg.as_square(rho, obs.dim, "state and observable")
     fg = _checked_fine_graining(obs, fg)
-    if fg.dim != r.shape[0]:
-        raise DimMismatchError("state and observable dimensions differ")
     rr = fg.basis.conj().T @ r @ fg.basis
     total = linalg.entrywise_l1(rr)
     for s in fg.block_slices():
@@ -58,10 +56,8 @@ def c_l1_coarse(rho, obs: Observable, fg: FineGraining | None = None) -> float:
 
 def c_re_coarse(rho, obs: Observable) -> float:
     """S(pinched rho) - S(rho); independent of any fine-graining choice."""
-    r = linalg.as_square(rho)
-    if obs.dim != r.shape[0]:
-        raise DimMismatchError("state and observable dimensions differ")
-    return linalg.von_neumann_entropy(luders(r, obs).matrix) - linalg.von_neumann_entropy(r)
+    r = linalg.as_square(rho, obs.dim, "state and observable")
+    return linalg.von_neumann_entropy(luders(r, obs)) - linalg.von_neumann_entropy(rho)
 
 
 def hierarchy_gap(rho, obs: Observable, fg: FineGraining | None = None) -> float:
@@ -75,16 +71,14 @@ def hierarchy_gap(rho, obs: Observable, fg: FineGraining | None = None) -> float
 
     r = linalg.as_square(rho)
     fg = _checked_fine_graining(obs, fg)
-    pinched = luders(r, obs).matrix
-    dephased = dephase(r, fg.basis).matrix
-    return linalg.relative_entropy(pinched, dephased)
+    return linalg.relative_entropy(luders(r, obs), dephase(r, fg.basis))
 
 
 def mutual_information(state: BipartiteState) -> float:
     """I(A:B) = S(A) + S(B) - S(AB), in bits."""
-    s_ab = linalg.von_neumann_entropy(state.state.matrix)
-    s_a = linalg.von_neumann_entropy(state.reduced_a().matrix)
-    s_b = linalg.von_neumann_entropy(state.reduced_b().matrix)
+    s_ab = linalg.von_neumann_entropy(state.state)
+    s_a = linalg.von_neumann_entropy(state.reduced_a())
+    s_b = linalg.von_neumann_entropy(state.reduced_b())
     return s_a + s_b - s_ab
 
 
@@ -101,15 +95,13 @@ def luders_on_b(state: BipartiteState, obs: Observable) -> BipartiteState:
     for p in obs.projectors:
         lifted = linalg.tensor(eye_a, p)
         out += lifted @ state.state.matrix @ lifted
-    return BipartiteState(dims=state.dims, state=DensityMatrix(matrix=linalg.hermitize(out)))
+    return BipartiteState(dims=state.dims, state=linalg.hermitize(out))
 
 
 def qi_coherence(state: BipartiteState, obs: Observable) -> float:
     """Entropy generated on the joint state by pinching B alone."""
     pinched = luders_on_b(state, obs)
-    return linalg.von_neumann_entropy(pinched.state.matrix) - linalg.von_neumann_entropy(
-        state.state.matrix
-    )
+    return linalg.von_neumann_entropy(pinched.state) - linalg.von_neumann_entropy(state.state)
 
 
 def luders_discord(state: BipartiteState, obs: Observable) -> float:
@@ -126,7 +118,7 @@ def classical_correlation(state: BipartiteState, obs: Observable) -> float:
     """
     _check_b_observable(state, obs)
     rho = state.state.matrix
-    rho_a = state.reduced_a().matrix
+    rho_a = state.reduced_a()
     eye_a = np.eye(state.dim_a)
     total = 0.0
     for p in obs.projectors:
@@ -135,20 +127,15 @@ def classical_correlation(state: BipartiteState, obs: Observable) -> float:
         p_n = float(np.real(np.trace(cond)))
         if p_n < linalg.PROB_FLOOR:
             continue
-        cond = linalg.hermitize(cond) / p_n
-        cond_a = linalg.partial_trace(cond, state.dims, keep=0)
-        total += p_n * linalg.relative_entropy(cond_a, rho_a)
-        total += p_n * mutual_information(
-            BipartiteState(dims=state.dims, state=DensityMatrix(matrix=cond))
-        )
+        cond = BipartiteState(dims=state.dims, state=linalg.hermitize(cond) / p_n)
+        total += p_n * linalg.relative_entropy(cond.reduced_a(), rho_a)
+        total += p_n * mutual_information(cond)
     return total
 
 
 def povm_coherence(rho, povm: Povm) -> float:
     """S(rho || sum_n M_n rho M_n), second argument left sub-normalized."""
-    r = linalg.as_square(rho)
-    if povm.dim != r.shape[0]:
-        raise DimMismatchError("state and POVM dimensions differ")
+    r = linalg.as_square(rho, povm.dim, "state and POVM")
     sigma = linalg.hermitize(sum(e @ r @ e for e in povm.effects))
     return linalg._relative_entropy_core(r, sigma)
 
@@ -157,5 +144,4 @@ def povm_coherence_modified(rho, povm: Povm) -> float:
     """S(rho || sum_n M_n^(1/2) rho M_n^(1/2)); the second argument is a state."""
     from .instruments import generalized_luders
 
-    r = linalg.as_square(rho)
-    return linalg.relative_entropy(r, generalized_luders(r, povm).matrix)
+    return linalg.relative_entropy(rho, generalized_luders(rho, povm))

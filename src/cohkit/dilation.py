@@ -5,7 +5,8 @@ initial vector and the readout basis, so Kraus operators can be read back as
 <a_n| U |a_0> blocks. Dilations are not unique; the isometry builders
 complete V = sum_n K_n (x) |n> with the orthogonal complements from one
 complete QR factorization each, which is deterministic, so equal inputs give
-bitwise equal models.
+bitwise equal models. A DilationModel is immutable and is checked once, when
+it is built, so extract_kraus reads a model without checking it again.
 """
 
 from __future__ import annotations
@@ -31,12 +32,18 @@ from .errors import (
     NotIsometryError,
     UnsupportedClassError,
 )
-from .states import Observable, _integer
+from .states import Observable, _integer, _read_only
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class DilationModel:
-    """A joint unitary with the apparatus bookkeeping needed to read it."""
+    """A joint unitary with the apparatus bookkeeping needed to read it.
+
+    Immutable and checked when built: both sizes must be positive integers,
+    the joint operator unitary, the apparatus vector normalized and the
+    readout columns orthonormal, and the three arrays are kept as read-only
+    copies.
+    """
 
     system_dim: int
     ancilla_dim: int
@@ -44,8 +51,9 @@ class DilationModel:
     joint_unitary: np.ndarray       # (system_dim*ancilla_dim) squared
     readout_basis: np.ndarray       # ancilla_dim x n_outcomes orthonormal columns
 
-    def validate(self) -> "DilationModel":
-        d_s, d_a = self.system_dim, self.ancilla_dim
+    def __post_init__(self):
+        d_s = _integer("system_dim", self.system_dim)
+        d_a = _integer("ancilla_dim", self.ancilla_dim)
         if d_s < 1 or d_a < 1:
             raise BadDimensionError("dimensions must be positive")
         u = linalg.as_square(self.joint_unitary)
@@ -63,18 +71,18 @@ class DilationModel:
             raise BadDimensionError("readout basis has the wrong shape")
         if linalg.orthonormality_defect(basis) > linalg.DEFAULT_TOL:
             raise InvalidModelError("readout basis columns are not orthonormal")
-        return self
+        arrays = {"joint_unitary": u, "apparatus_init": init, "readout_basis": basis}
+        for name, value in arrays.items():
+            object.__setattr__(self, name, _read_only(value))
 
 
 def extract_kraus(model: DilationModel) -> KrausChannel:
     """Kraus operators K_n = <a_n| U |a_0>, one per readout vector."""
-    model.validate()
     d_s, d_a = model.system_dim, model.ancilla_dim
-    t = np.asarray(model.joint_unitary, dtype=complex).reshape(d_s, d_a, d_s, d_a)
-    init = np.asarray(model.apparatus_init, dtype=complex)
+    t = model.joint_unitary.reshape(d_s, d_a, d_s, d_a)
     # rows a_n^*, contiguous: einsum's summation order follows operand layout
     readout = np.ascontiguousarray(model.readout_basis.conj().T)
-    return kraus_channel(np.einsum("na,iajb,b->nij", readout, t, init))
+    return kraus_channel(np.einsum("na,iajb,b->nij", readout, t, model.apparatus_init))
 
 
 def householder_unitary(source, target) -> np.ndarray:
@@ -165,7 +173,7 @@ def _pointer_model(joint_unitary: np.ndarray, system_dim: int) -> DilationModel:
         apparatus_init=_standard_init(d_a),
         joint_unitary=joint_unitary,
         readout_basis=np.eye(d_a, dtype=complex),
-    ).validate()
+    )
 
 
 def _isometry_model(v: np.ndarray) -> DilationModel:

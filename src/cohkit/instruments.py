@@ -3,7 +3,8 @@
 The block pinching sends rho to sum_n P_n rho P_n for the eigenprojectors of
 an observable; full dephasing is the nondegenerate special case. Both are
 idempotent and the pinching is the closest block-diagonal state to rho in
-Hilbert-Schmidt distance.
+Hilbert-Schmidt distance. Each reading that returns a DensityMatrix checks
+it when it builds it, so one whose result is not a state raises.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import numpy as np
 from . import linalg
 from .errors import (
     BadParameterError,
-    DimMismatchError,
     VectorOutsideEigenspaceError,
     ZeroProbabilityOutcomeError,
 )
@@ -31,13 +31,8 @@ from .states import (
 
 def born_probabilities(rho, measurement) -> np.ndarray:
     """Outcome probabilities Tr(P_n rho) for an Observable or Tr(M_n rho) for a Povm."""
-    r = linalg.as_square(rho)
-    if isinstance(measurement, Povm):
-        ops = measurement.effects
-    else:
-        ops = measurement.projectors
-    if ops[0].shape != r.shape:
-        raise DimMismatchError("state and measurement dimensions differ")
+    ops = measurement.effects if isinstance(measurement, Povm) else measurement.projectors
+    r = linalg.as_square(rho, ops[0].shape[0], "state and measurement")
     return np.array([float(np.real(np.trace(op @ r))) for op in ops])
 
 
@@ -51,9 +46,7 @@ def dephase(rho, basis) -> DensityMatrix:
 
 def luders(rho, obs: Observable) -> DensityMatrix:
     """Nonselective reading: sum_n P_n rho P_n."""
-    r = linalg.as_square(rho)
-    if obs.dim != r.shape[0]:
-        raise DimMismatchError("state and observable dimensions differ")
+    r = linalg.as_square(rho, obs.dim, "state and observable")
     out = sum(p @ r @ p for p in obs.projectors)
     return DensityMatrix(matrix=linalg.hermitize(out))
 
@@ -81,9 +74,7 @@ def optimal_fine_grain(obs: Observable, rho) -> FineGraining:
     Dephasing in this basis reproduces the block pinching of rho exactly, so
     the fine measure collapses onto the coarse one.
     """
-    r = linalg.as_square(rho)
-    if obs.dim != r.shape[0]:
-        raise DimMismatchError("state and observable dimensions differ")
+    r = linalg.as_square(rho, obs.dim, "state and observable")
     blocks = []
     for n in range(obs.n_outcomes):
         b_n = obs.block_basis(n)
@@ -116,9 +107,7 @@ def repeatable_instrument(obs: Observable, theta, fg: FineGraining | None = None
 
 def generalized_luders(rho, povm: Povm) -> DensityMatrix:
     """sum_n M_n^(1/2) rho M_n^(1/2), the square-root reading of a POVM."""
-    r = linalg.as_square(rho)
-    if povm.dim != r.shape[0]:
-        raise DimMismatchError("state and POVM dimensions differ")
+    r = linalg.as_square(rho, povm.dim, "state and POVM")
     out = np.zeros_like(r)
     for e in povm.effects:
         spec = linalg.hermitian_eig(e)

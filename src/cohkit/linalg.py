@@ -13,8 +13,11 @@ argument of every relative entropy, ``Observable.block_basis``,
 the eigenvalues alone (LAPACK ``eigvalsh``, which skips building the
 vectors); it serves every caller that needs only a spectrum:
 ``von_neumann_entropy``, the first argument of a relative entropy, the
-density check behind ``validate_density``, ``DensityMatrix.eigenvalues``,
-``make_povm``'s positivity check and ``kraus_channel``'s bound on sum K^dag K.
+density check that builds a ``DensityMatrix``, ``make_povm``'s positivity
+check and ``kraus_channel``'s bound on sum K^dag K. A ``DensityMatrix`` keeps
+the spectrum its check computed, and the entropies of one read it from there
+(found by attribute, as ``as_matrix`` finds ``.matrix``), so a state the
+library holds is diagonalized once.
 The two drivers agree to rounding, not bit for bit: results are
 byte-reproducible across reruns on one numpy and LAPACK, and differ by up to
 about 2e-15 from versions that took every spectrum from ``eigh``.
@@ -97,10 +100,17 @@ def _finite(a: np.ndarray, what: str) -> np.ndarray:
     return a
 
 
-def as_square(m) -> np.ndarray:
+def as_square(m, dim: int | None = None, what: str = "") -> np.ndarray:
+    """Coerce ``m`` as ``as_matrix`` does and require it square.
+
+    The one home of the operand-size check: with ``dim`` given, a matrix of
+    another size raises DimMismatchError("{what} dimensions differ").
+    """
     a = as_matrix(m)
     if a.shape[0] != a.shape[1]:
         raise ShapeMismatchError(f"expected a square matrix, got shape {a.shape}")
+    if dim is not None and a.shape[0] != dim:
+        raise DimMismatchError(f"{what} dimensions differ")
     return a
 
 
@@ -288,11 +298,14 @@ _STATE_ERRORS = (NotHermitianError, TraceNotOneError, NotPositiveError)
 
 
 def _clamped_density_eigvals(m) -> np.ndarray:
-    # the density check with InvalidStateError, then eigenvalues clamped at 0
-    try:
-        _, w = _density_eigvals(m)
-    except _STATE_ERRORS as exc:
-        raise InvalidStateError(f"state: {exc}") from None
+    # the density check with InvalidStateError, then eigenvalues clamped at 0;
+    # a DensityMatrix, checked when it was built, passes the spectrum it keeps
+    w = getattr(m, "_eigvals", None)
+    if w is None:
+        try:
+            _, w = _density_eigvals(m)
+        except _STATE_ERRORS as exc:
+            raise InvalidStateError(f"state: {exc}") from None
     return _clamped(w)
 
 
@@ -360,8 +373,9 @@ def relative_entropy(rho, sigma) -> float:
     a, b = as_square(rho), as_square(sigma)
     if a.shape != b.shape:
         raise DimMismatchError(f"shapes {a.shape} and {b.shape} differ")
-    # the second argument must itself be a state here; its check's spectrum is reused
-    return _relative_entropy_core(a, b, _clamped_density_eigs(b))
+    # the second argument must itself be a state here; its check's spectrum is
+    # reused, and so is the spectrum a DensityMatrix first argument keeps
+    return _relative_entropy_core(a, b, _clamped_density_eigs(b), _clamped_density_eigvals(rho))
 
 
 def _sorted_desc(x) -> np.ndarray:

@@ -42,7 +42,6 @@ from .states import (
     make_povm,
     observable_from_projectors,
     spectral_decompose,
-    validate_density,
 )
 
 
@@ -312,7 +311,7 @@ def from_json(obj, expect: str | None = None):
     if kind == "matrix":
         return matrix_from_json(obj)
     if kind == "state":
-        return _sized(obj, validate_density(matrix_from_json(_require(obj, "matrix"))))
+        return _sized(obj, DensityMatrix(matrix_from_json(_require(obj, "matrix"))))
     if kind == "observable":
         if "matrix" in obj:  # Hermitian matrix form, decomposed on load
             return _sized(obj, spectral_decompose(matrix_from_json(obj["matrix"])))
@@ -360,7 +359,7 @@ def from_json(obj, expect: str | None = None):
             apparatus_init=init[:, 0],
             joint_unitary=matrix_from_json(_require(obj, "joint_unitary")),
             readout_basis=matrix_from_json(_require(obj, "readout_basis")),
-        ).validate()
+        )
     raise ParseError(f"unknown document type {kind!r}")
 
 

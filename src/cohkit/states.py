@@ -4,12 +4,22 @@ All random generators are deterministic functions of their seed. A single
 64-bit seed is split into independent streams with numpy's SeedSequence
 spawning, so every consumer can derive child seeds without correlation.
 
-Observables, fine-grainings and POVMs are immutable: their fields cannot be
-reassigned and every array they hold is a read-only copy, so an object never
-changes after it is built (to change one, build a new one). A POVM holds its
-effects as one read-only (r, d, d) stack. Structure derived from an
-observable, its block bases and the fine-grained basis, is therefore computed
-once, on first use, and shared by every later call.
+States, bipartite states, observables, fine-grainings and POVMs are
+immutable: their fields cannot be reassigned and every array they hold is a
+read-only copy, so an object never changes after it is built (to change one,
+build a new one). A POVM holds its effects as one read-only (r, d, d) stack.
+Structure derived from a value is therefore computed once and shared by every
+later call: an observable's block bases, a fine-graining's joined basis and a
+bipartite state's reductions, each on first use.
+
+A DensityMatrix and a BipartiteState are checked when they are built, so a
+value of either type is always a state. ``DensityMatrix(m)`` raises
+NotHermitianError, TraceNotOneError or NotPositiveError for a matrix that is
+not one, and keeps the eigenvalues its check computed; the library's
+entropies of a DensityMatrix read them instead of diagonalizing again. The one
+exception is ``channels.evolve_path``: it checks its input state and wraps
+each later step unchecked, because a trace-preserving channel maps states to
+states, and such a step computes its spectrum on first use.
 """
 
 from __future__ import annotations
@@ -65,35 +75,57 @@ def as_generator(seed, **sizes: int) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-@dataclass(eq=False)
+def _read_only(a) -> np.ndarray:
+    # a private copy that nothing can write to, so no caller's array is aliased
+    out = np.array(a)
+    out.setflags(write=False)
+    return out
+
+
+@dataclass(eq=False, frozen=True)
 class DensityMatrix:
-    """A validated density matrix. Construct through validate_density or a generator."""
+    """A density matrix: Hermitian, unit trace and PSD within ``linalg.DEFAULT_TOL``.
+
+    Immutable and checked when built: the constructor checks a read-only copy
+    of the matrix it is given, raising NotHermitianError, TraceNotOneError or
+    NotPositiveError, and keeps the eigenvalues that check computed.
+    """
 
     matrix: np.ndarray
+
+    def __post_init__(self):
+        # a DensityMatrix given is read through its .matrix, as as_matrix reads it
+        a, w = linalg._density_eigvals(_read_only(getattr(self.matrix, "matrix", self.matrix)))
+        a.setflags(write=False)  # the copy itself, or its complex coercion
+        object.__setattr__(self, "matrix", a)
+        object.__setattr__(self, "_eigvals", _read_only(w))
+
+    @cached_property
+    def _eigvals(self) -> np.ndarray:
+        # the check sets this; only a step of evolve_path computes it here
+        return _read_only(linalg.hermitian_eigvals(self.matrix))
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
 
     def eigenvalues(self) -> np.ndarray:
-        return linalg.hermitian_eigvals(self.matrix)
+        """The spectrum, sorted non-increasing, read-only."""
+        return self._eigvals
 
-    def validate(self) -> "DensityMatrix":
-        validate_density(self.matrix)
-        return self
+
+def _unchecked_density(matrix: np.ndarray) -> DensityMatrix:
+    # a DensityMatrix of a matrix known to be a state, built without the check
+    # (evolve_path's steps alone); the matrix is made read-only and kept as it is
+    matrix.setflags(write=False)
+    rho = object.__new__(DensityMatrix)
+    object.__setattr__(rho, "matrix", matrix)
+    return rho
 
 
 def validate_density(m) -> DensityMatrix:
     """Check Hermiticity, unit trace and positivity, and wrap the matrix."""
-    a, _ = linalg._density_eigvals(m)
-    return DensityMatrix(matrix=a)
-
-
-def _read_only(a) -> np.ndarray:
-    # a private copy that nothing can write to, so no caller's array is aliased
-    out = np.array(a)
-    out.setflags(write=False)
-    return out
+    return DensityMatrix(m)
 
 
 @dataclass(eq=False, frozen=True)
@@ -308,12 +340,28 @@ def fine_graining(obs: Observable, blocks=None) -> FineGraining:
     return FineGraining(parent=obs, blocks=blocks, labels=labels)
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class BipartiteState:
-    """A density matrix on a tensor product, with the factor dimensions recorded."""
+    """A density matrix on a tensor product, with the factor dimensions recorded.
+
+    Immutable and checked when built: both dimensions must be integers, a bare
+    matrix is checked as a DensityMatrix, and its size must be their product.
+    The two reductions are computed, as checked DensityMatrix values, on the
+    first use of either and kept.
+    """
 
     dims: tuple[int, int]
     state: DensityMatrix
+
+    def __post_init__(self):
+        dim_a, dim_b = self.dims
+        _integer("dim_a", dim_a)
+        _integer("dim_b", dim_b)
+        rho = self.state if isinstance(self.state, DensityMatrix) else DensityMatrix(self.state)
+        if rho.dim != dim_a * dim_b:
+            raise DimMismatchError(f"state dimension {rho.dim} is not {dim_a}*{dim_b}")
+        object.__setattr__(self, "dims", (dim_a, dim_b))
+        object.__setattr__(self, "state", rho)
 
     @property
     def dim_a(self) -> int:
@@ -323,20 +371,20 @@ class BipartiteState:
     def dim_b(self) -> int:
         return self.dims[1]
 
+    @cached_property
+    def _reductions(self) -> tuple[DensityMatrix, DensityMatrix]:
+        m = self.state.matrix
+        return tuple(DensityMatrix(linalg.partial_trace(m, self.dims, keep=k)) for k in (0, 1))
+
     def reduced_a(self) -> DensityMatrix:
-        return DensityMatrix(linalg.partial_trace(self.state.matrix, self.dims, keep=0))
+        return self._reductions[0]
 
     def reduced_b(self) -> DensityMatrix:
-        return DensityMatrix(linalg.partial_trace(self.state.matrix, self.dims, keep=1))
+        return self._reductions[1]
 
 
 def bipartite(state, dim_a: int, dim_b: int) -> BipartiteState:
-    _integer("dim_a", dim_a)
-    _integer("dim_b", dim_b)
-    rho = state if isinstance(state, DensityMatrix) else validate_density(state)
-    if rho.dim != dim_a * dim_b:
-        raise DimMismatchError(f"state dimension {rho.dim} is not {dim_a}*{dim_b}")
-    return BipartiteState(dims=(dim_a, dim_b), state=rho)
+    return BipartiteState(dims=(dim_a, dim_b), state=state)
 
 
 @dataclass(eq=False, frozen=True)
@@ -365,6 +413,8 @@ def make_povm(effects) -> Povm:
     if not ops:
         raise BadParameterError("a POVM needs at least one effect")
     d = ops[0].shape[0]
+    if d == 0:
+        raise ShapeMismatchError("effects must not be empty matrices")
     for n, e in enumerate(ops):
         if e.shape != (d, d):
             raise DimMismatchError("effect dimensions differ")

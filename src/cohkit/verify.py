@@ -127,6 +127,8 @@ def _random_hermitian(rng, d: int) -> np.ndarray:
 
 
 def _random_psd(rng, d: int) -> np.ndarray:
+    # the draws and bits of states.random_density(d, seed=rng).matrix, without
+    # the check a DensityMatrix makes, for trials that need only the matrix
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     m = g @ g.conj().T
     return m / np.real(np.trace(m))
@@ -193,7 +195,7 @@ def _check_relative_entropy_nonneg(rng, cfg, t):
     d = _dim(cfg, t)
     rho = states.random_density(d, seed=rng)
     sigma = states.random_density(d, seed=rng)
-    return -linalg.relative_entropy(rho.matrix, sigma.matrix)
+    return -linalg.relative_entropy(rho, sigma)
 
 
 _FAITHFUL_TOL = 1e-8
@@ -204,9 +206,9 @@ def _check_relative_entropy_faithful(rng, cfg, t):
     d = _dim(cfg, t)
     rho = states.random_density(d, seed=rng)
     sigma = states.random_density(d, seed=rng)
-    same = linalg.relative_entropy(rho.matrix, rho.matrix)
+    same = linalg.relative_entropy(rho, rho)
     # distinct independent states must give a strictly positive value
-    if linalg.relative_entropy(rho.matrix, sigma.matrix) <= _FAITHFUL_TOL:
+    if linalg.relative_entropy(rho, sigma) <= _FAITHFUL_TOL:
         return float("inf")
     return same
 
@@ -247,11 +249,11 @@ def _check_pythagorean_identity(rng, cfg, t):
     obs = states.random_observable(d, _random_profile(rng, d), rng)
     rho = states.random_density(d, seed=rng)
     pinched = instruments.luders(rho, obs)
-    middle = linalg.relative_entropy(rho.matrix, pinched.matrix)
+    middle = linalg.relative_entropy(rho, pinched)
     # the kernel of relative_entropy on one spectrum per matrix: rho's and
     # the pinched state's from here, each sigma's from the loop
-    wr = linalg._clamped_density_eigvals(rho.matrix)
-    wp = linalg._clamped_density_eigvals(pinched.matrix)
+    wr = linalg._clamped_density_eigvals(rho)
+    wp = linalg._clamped_density_eigvals(pinched)
     # the relative entropies draw nothing, so drawing all ten first keeps the stream
     residuals = []
     for sigma in instruments._random_block_diagonal_stack(obs, 10, rng):
@@ -268,10 +270,7 @@ def _check_pinching_entropy_increase(rng, cfg, t):
     obs = states.random_observable(d, _random_profile(rng, d), rng)
     rho = states.random_density(d, seed=rng)
     pinched = instruments.luders(rho, obs)
-    return (
-        linalg.von_neumann_entropy(rho.matrix)
-        - linalg.von_neumann_entropy(pinched.matrix)
-    )
+    return linalg.von_neumann_entropy(rho) - linalg.von_neumann_entropy(pinched)
 
 
 @_property(tol=1e-9, trials=30, start=-np.inf)
@@ -364,10 +363,8 @@ def _conditional_mutual_information_sum(
         p_n = float(np.real(np.trace(cond)))
         if p_n < 1e-12:
             continue
-        cond = (cond + cond.conj().T) / 2.0 / p_n
-        total += p_n * coherence.mutual_information(
-            states.BipartiteState(dims=state.dims, state=states.DensityMatrix(cond))
-        )
+        cond = states.BipartiteState(dims=state.dims, state=(cond + cond.conj().T) / 2.0 / p_n)
+        total += p_n * coherence.mutual_information(cond)
     return total
 
 
@@ -414,7 +411,7 @@ def _check_repeatable_residual_coherence(rng, cfg, t):
     return _worst(
         abs(coherence.c_l1(out, theta_basis) - coherence.c_l1(lud, fg.basis)),
         abs(coherence.c_re(out, theta_basis) - coherence.c_re(lud, fg.basis)),
-        abs(linalg.von_neumann_entropy(out.matrix) - linalg.von_neumann_entropy(lud.matrix)),
+        abs(linalg.von_neumann_entropy(out) - linalg.von_neumann_entropy(lud)),
         _max_abs(
             instruments.born_probabilities(out, obs) - instruments.born_probabilities(rho, obs)
         ),
@@ -443,7 +440,7 @@ def _check_gio_schur_equivalence(rng, cfg, t):
         ops[0][0, 0] = -ops[0][0, 0]  # break the Kraus/Schur agreement
         ch = channels.kraus_channel(ops)
     schur = corr.matrix.T
-    rhos = (states.random_density(d, seed=rng).matrix for _ in range(5))
+    rhos = (_random_psd(rng, d) for _ in range(5))
     return _worst(
         *(linalg.hs_norm(channels.apply_to_operator(ch, rho) - schur * rho) for rho in rhos)
     )
@@ -460,8 +457,7 @@ def _check_unital_majorization(rng, cfg, t):
     out = channels.apply_channel(ch, rho)
     return _worst(
         _majorization_defect(rho.eigenvalues(), out.eigenvalues()),
-        linalg.von_neumann_entropy(rho.matrix)
-        - linalg.von_neumann_entropy(out.matrix),
+        linalg.von_neumann_entropy(rho) - linalg.von_neumann_entropy(out),
     )
 
 
@@ -618,7 +614,7 @@ _DEPHASING_STEPS = 200
 def _check_dephasing_limit_offdiagonal(rng, cfg, t):
     d = _dim(cfg, t)
     ch = _shrunk_gio(rng, d, 1 + t % d)
-    x = states.random_density(d, seed=rng).matrix
+    x = _random_psd(rng, d)
     for _ in range(_DEPHASING_STEPS):
         x = channels.apply_to_operator(ch, x)
     return _max_abs(x - np.diag(np.diag(x)))
@@ -629,7 +625,7 @@ def _check_schur_power_law(rng, cfg, t):
     d = _dim(cfg, t)
     ch = channels.random_gio(d, 1 + t % d, rng)
     schur = channels.correlation_matrix_of(ch).matrix.T
-    rho = states.random_density(d, seed=rng).matrix
+    rho = _random_psd(rng, d)
     x = rho.copy()
     power = np.ones_like(schur)
     residuals = []
@@ -697,7 +693,7 @@ def _dilation_cases(rng, cfg):
         apparatus_init=np.eye(d, dtype=complex)[:, 0],
         joint_unitary=dilation.generalized_cnot(d),
         readout_basis=np.eye(d, dtype=complex),
-    ).validate()
+    )
     units = [np.diag(np.eye(d)[:, n]).astype(complex) for n in range(d)]
     yield model, lambda x, ps=units: sum(p @ x @ p for p in ps)
 

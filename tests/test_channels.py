@@ -55,8 +55,8 @@ def test_apply_channel_returns_trace_for_operations():
 
 def test_phase_damping_correlation_matrix():
     for p in (0.5, 0.75, 0.9):
+        # built checked: a correlation matrix that broke its contract would raise here
         corr = channels.correlation_matrix_of(channels.phase_damping(p))
-        corr.validate()
         assert abs(corr.matrix[0, 1] - (2.0 * p - 1.0)) < 1e-12
         assert np.allclose(np.diag(corr.matrix), 1.0)
 
@@ -250,7 +250,7 @@ def test_correlation_checks_raise_the_same_classes(matrix, error):
     with pytest.raises(error):
         channels.gio_from_correlation(matrix)
     with pytest.raises(error):
-        channels.CorrelationMatrix(matrix=matrix, vectors=np.eye(2)).validate()
+        channels.CorrelationMatrix(matrix=matrix, vectors=np.eye(2))
 
 
 def test_classify_rejects_non_unitary_basis():

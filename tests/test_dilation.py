@@ -89,7 +89,7 @@ def test_gio_model_pads_rank_one():
 
 def test_dispatcher_covers_the_classes():
     gio = channels.phase_damping(0.75)
-    assert dilation.dilate(gio).validate()
+    assert isinstance(dilation.dilate(gio), dilation.DilationModel)  # built checked
     x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
     sio = channels.kraus_channel([np.sqrt(0.7) * np.eye(2), np.sqrt(0.3) * x])
     model = dilation.dilate(sio)
@@ -190,15 +190,15 @@ def test_io_dilation_at_d24_is_exact_and_deterministic():
 
 def test_model_validation_guards():
     model = dilation.dilate_von_neumann(np.eye(2))
-    bad = dilation.DilationModel(
-        system_dim=2,
-        ancilla_dim=2,
-        apparatus_init=model.apparatus_init,
-        joint_unitary=model.joint_unitary * 1.5,
-        readout_basis=model.readout_basis,
-    )
+    # a model is checked when it is built
     with pytest.raises(InvalidModelError):
-        bad.validate()
+        dilation.DilationModel(
+            system_dim=2,
+            ancilla_dim=2,
+            apparatus_init=model.apparatus_init,
+            joint_unitary=model.joint_unitary * 1.5,
+            readout_basis=model.readout_basis,
+        )
     with pytest.raises(BadDimensionError):
         dilation.DilationModel(
             system_dim=2,
@@ -206,7 +206,7 @@ def test_model_validation_guards():
             apparatus_init=np.array([1.0, 0.0, 0.0]),
             joint_unitary=model.joint_unitary,
             readout_basis=model.readout_basis,
-        ).validate()
+        )
 
 
 @pytest.mark.parametrize("name", ["gio", "sio", "io"])

@@ -143,8 +143,7 @@ def test_unitary_mixing_averages_to_pinching():
 
 def test_random_block_diagonal_commutes():
     obs = states.random_observable(5, (2, 2, 1), seed=9)
-    rho = instruments.random_block_diagonal(obs, seed=9)
-    rho.validate()
+    rho = instruments.random_block_diagonal(obs, seed=9)  # built checked
     m = obs.matrix()
     assert np.max(np.abs(rho.matrix @ m - m @ rho.matrix)) < 1e-10
 

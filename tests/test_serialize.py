@@ -296,6 +296,7 @@ LOADER_TEXTS = {
     "bool-entries": _with_pair(_pair("true", "false")),
     "string-eigenvalue": _observable_text(["2", 0.0]),
     "bool-eigenvalue": _observable_text([True, 0.0]),
+    "int-eigenvalue": _observable_text([2, 0.0]),
     "non-ascii-space": _with_pair(_pair("0.25\u00a0", "-0.0")),
     "duplicate-entries": _LAYOUT[:-2] + ",\n  " + _LAYOUT[_LAYOUT.index('"entries"'):].replace("0.25", "9.5"),
     "entries-in-a-string": _state_text(note='"entries": [\n  [\n    1,\n    2\n  ]\n]'),
@@ -321,8 +322,11 @@ def _outcome(read, text):
         value = read(text)
     except Exception as exc:
         return type(exc), str(exc)
+    # tobytes tells -0.0 from 0.0
+    if isinstance(value, states.Observable):
+        return value.eigenvalues.tobytes(), tuple(p.tobytes() for p in value.projectors)
     matrix = value.matrix if isinstance(value, states.DensityMatrix) else value
-    return matrix.shape, matrix.tobytes()  # tobytes tells -0.0 from 0.0
+    return matrix.shape, matrix.tobytes()
 
 
 def _oracle_loads(text):
@@ -354,7 +358,7 @@ def test_the_table_covers_both_paths():
     assert fast == {"layout", "state", "indent-4", "crlf", "ints", "exponents", "entries-in-a-string",
                     "extra-pair", "entries-elsewhere", "non-ascii-elsewhere",
                     "deep-nesting", "wrong-count", "float-dim",
-                    "string-eigenvalue", "bool-eigenvalue"}
+                    "string-eigenvalue", "bool-eigenvalue", "int-eigenvalue"}
 
 
 @pytest.mark.parametrize("kind", sorted(KINDS))

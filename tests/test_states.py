@@ -3,17 +3,20 @@ import dataclasses
 import numpy as np
 import pytest
 
-from cohkit import channels, dilation, instruments, linalg, states
+from cohkit import channels, coherence, dilation, instruments, linalg, states
 from cohkit.errors import (
     AmbiguousGroupingError,
     BadParameterError,
     BadProfileError,
     DimMismatchError,
+    InvalidModelError,
     NonOrthonormalError,
     NotHermitianError,
     NotPositiveError,
+    NotPSDError,
     ShapeMismatchError,
     TraceNotOneError,
+    ValidationError,
     VectorOutsideEigenspaceError,
 )
 
@@ -21,6 +24,7 @@ from cohkit.errors import (
 def test_validate_density_accepts_and_rejects():
     ok = states.validate_density(np.eye(2) / 2)
     assert ok.dim == 2
+    assert np.array_equal(states.validate_density(ok).matrix, ok.matrix)
     with pytest.raises(NotHermitianError):
         states.validate_density(np.array([[0.5, 0.5], [0.0, 0.5]]))
     with pytest.raises(TraceNotOneError):
@@ -31,8 +35,7 @@ def test_validate_density_accepts_and_rejects():
 
 def test_random_density_valid_and_deterministic():
     for seed in (0, 1, 2):
-        rho = states.random_density(5, rank=3, seed=seed)
-        rho.validate()
+        rho = states.random_density(5, rank=3, seed=seed)  # built checked
         assert int(np.sum(rho.eigenvalues() > 1e-9)) == 3
         again = states.random_density(5, rank=3, seed=seed)
         assert np.array_equal(rho.matrix, again.matrix)
@@ -211,17 +214,19 @@ def test_povm_is_frozen_with_a_read_only_stack():
 
 
 def test_block_bases_are_computed_once(eig_calls):
+    # full decompositions only: random_block_diagonal checks each state it
+    # returns, one values-only decomposition apiece
     obs = states.random_observable(6, (3, 2, 1), seed=4)
     assert obs.block_basis(1) is obs.block_basis(1)
-    assert len(eig_calls) == 1
+    assert eig_calls.count("eig") == 1
     rng = np.random.default_rng(0)
     for _ in range(200):
         instruments.random_block_diagonal(obs, rng)
-    assert len(eig_calls) == obs.n_outcomes
+    assert eig_calls.count("eig") == obs.n_outcomes
     fg = states.fine_graining(obs)
     assert fg.basis is fg.basis
     assert fg.block_slices() is fg.block_slices()
-    assert len(eig_calls) == obs.n_outcomes
+    assert eig_calls.count("eig") == obs.n_outcomes
 
 
 def test_block_basis_rank_mismatch_raises_on_every_call(eig_calls):
@@ -273,6 +278,121 @@ def test_povm_checks_keep_their_order():
         states.make_povm([good, np.eye(3), skew])
 
 
+def test_make_povm_rejects_empty_matrix():
+    # a maximum over zero entries used to escape as numpy's bare ValueError
+    with pytest.raises(ShapeMismatchError):
+        states.make_povm([np.zeros((0, 0))])
+
+
+def _checked_values():
+    rho = states.random_density(4, seed=3)
+    return {
+        "density": rho,
+        "bipartite": states.bipartite(rho, 2, 2),
+        "correlation": channels.correlation_matrix_of(channels.phase_damping(0.75)),
+        "dilation": dilation.dilate_von_neumann(np.eye(2)),
+    }
+
+
+def _held_arrays(value):
+    # every array a checked value keeps: its fields', and what it computed
+    if isinstance(value, states.DensityMatrix):
+        return [value.matrix, value.eigenvalues()]
+    if isinstance(value, states.BipartiteState):
+        return [a for rho in (value.state, value.reduced_a(), value.reduced_b())
+                for a in _held_arrays(rho)]
+    return [getattr(value, f.name) for f in dataclasses.fields(value)
+            if isinstance(getattr(value, f.name), np.ndarray)]
+
+
+@pytest.mark.parametrize("name", sorted(_checked_values()))
+def test_checked_values_are_frozen_with_read_only_arrays(name):
+    value = _checked_values()[name]
+    for field in dataclasses.fields(value):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, field.name, getattr(value, field.name))
+    arrays = _held_arrays(value)
+    assert len(arrays) >= 2
+    for a in arrays:
+        with pytest.raises(ValueError):
+            a[(0,) * a.ndim] = 5.0
+
+
+def test_a_state_keeps_its_spectrum_and_copies_the_callers_matrix():
+    m = np.diag([0.75, 0.25]).astype(complex)
+    rho = states.DensityMatrix(m)
+    assert rho.eigenvalues() is rho.eigenvalues()
+    assert np.array_equal(rho.eigenvalues(), linalg.hermitian_eigvals(m))
+    m[0, 0] = 5.0
+    assert m.flags.writeable and rho.matrix[0, 0] == 0.75
+    # a real matrix is kept as its complex coercion, read-only too
+    real = states.DensityMatrix(np.eye(2) / 2)
+    assert real.matrix.dtype == complex and not real.matrix.flags.writeable
+
+
+_U2 = np.array([[0.0, 1.0], [1.0, 0.0]])
+NOT_CHECKED_VALUES = {
+    "density-not-psd": (lambda: states.DensityMatrix(np.diag([2.0, -1.0])), NotPositiveError),
+    "density-trace": (lambda: states.DensityMatrix(np.eye(2)), TraceNotOneError),
+    "bipartite-size": (lambda: states.BipartiteState(dims=(3, 3), state=np.eye(4) / 4),
+                       DimMismatchError),
+    "bipartite-state": (lambda: states.BipartiteState(dims=(2, 2), state=np.eye(4)),
+                        TraceNotOneError),
+    "correlation-not-psd": (lambda: channels.CorrelationMatrix(
+        matrix=np.array([[1.0, 2.0], [2.0, 1.0]]), vectors=np.eye(2)), NotPSDError),
+    "model-float-size": (lambda: dilation.DilationModel(
+        2.0, 2, np.array([1.0, 0.0]), np.eye(4), np.eye(2)), BadParameterError),
+    "model-not-unitary": (lambda: dilation.DilationModel(
+        2, 2, np.array([1.0, 0.0]), 1.5 * np.eye(4), np.eye(2)), InvalidModelError),
+    # the readings return checked states, so an input that is not one raises
+    "luders": (lambda: instruments.luders(np.diag([1.5, -0.5]), OBS2), NotPositiveError),
+    "luders-outcome": (lambda: instruments.luders_outcome(
+        np.diag([1.5, -0.5]), states.observable_from_projectors([1.0], [np.eye(2)]), 0),
+        NotPositiveError),
+    "dephase": (lambda: instruments.dephase(np.diag([1.5, -0.5]), np.eye(2)), NotPositiveError),
+    "generalized-luders": (lambda: instruments.generalized_luders(
+        np.diag([1.5, -0.5]), states.make_povm([np.eye(2)])), NotPositiveError),
+    "apply-channel": (lambda: channels.apply_channel(
+        channels.kraus_channel([_U2]), np.diag([1.5, -0.5])), NotPositiveError),
+    "evolve-path": (lambda: channels.evolve_path(
+        channels.phase_damping(0.5), np.diag([1.5, -0.5]), 3), NotPositiveError),
+}
+
+
+@pytest.mark.parametrize("call, error", NOT_CHECKED_VALUES.values(), ids=NOT_CHECKED_VALUES.keys())
+def test_values_that_break_their_contract_are_refused_when_built(call, error):
+    with pytest.raises(error) as info:
+        call()
+    assert isinstance(info.value, ValidationError)
+
+
+def test_entropies_read_the_kept_spectrum(eig_calls):
+    rho = states.random_density(4, seed=5)
+    st = states.random_bipartite(2, 3, seed=5)
+    eig_calls.clear()
+    assert linalg.von_neumann_entropy(rho) == linalg.von_neumann_entropy(rho.matrix)
+    assert eig_calls == ["eigvals"]  # the bare matrix alone is diagonalized
+    eig_calls.clear()
+    first = coherence.mutual_information(st)
+    assert eig_calls == ["eigvals", "eigvals"]  # the two reductions, once
+    assert coherence.mutual_information(st) == first
+    assert st.reduced_a() is st.reduced_a()
+    assert eig_calls == ["eigvals", "eigvals"]
+
+
+def test_evolve_path_checks_its_input_once(eig_calls):
+    ch = channels.phase_damping(0.75)
+    plus = np.full((2, 2), 0.5, dtype=complex)
+    eig_calls.clear()
+    path = channels.evolve_path(ch, plus, 20)
+    # the input's check and the correlation matrix's; no step is checked
+    assert sorted(eig_calls) == ["eig", "eigvals"]
+    last = path[-1]
+    assert not last.matrix.flags.writeable
+    assert np.array_equal(last.eigenvalues(), linalg.hermitian_eigvals(last.matrix))
+    assert len(eig_calls) == 4  # the step's spectrum on first use, and the reference
+
+
 GENERATORS = {
     "density-dim": lambda n: states.random_density(n),
     "unitary-dim": lambda n: states.random_unitary(n),
@@ -307,6 +427,13 @@ NON_INTEGER_SIZES = {
     "observable-profile": (lambda: states.random_observable(4, (2.5, 2.5)), "profile entry 2.5"),
     "bipartite-dims": (lambda: states.bipartite(np.eye(4) / 4, 2.5, 1.6), "dim_a"),
     "random-bipartite-dim": (lambda: states.random_bipartite(2, 2.0), "dim_b"),
+    "bipartite-state-dims": (lambda: states.BipartiteState(dims=(2.0, 2), state=np.eye(4) / 4),
+                             "dim_a"),
+    # a float size once passed the model check, then broke extract_kraus and serialize
+    "model-system-dim": (lambda: dilation.DilationModel(
+        2.0, 2, np.array([1.0, 0.0]), np.eye(4), np.eye(2)), "system_dim"),
+    "model-ancilla-dim": (lambda: dilation.DilationModel(
+        2, True, np.array([1.0, 0.0]), np.eye(4), np.eye(2)), "ancilla_dim"),
 }
 
 
@@ -348,10 +475,8 @@ NON_FINITE_INPUTS = {
     "householder-target": lambda: dilation.householder_unitary([1.0, 0.0], [0.0, np.inf]),
     "extend-isometry": lambda: dilation.extend_to_unitary(np.full((4, 2), np.nan), [1.0, 0.0]),
     "extend-init": lambda: dilation.extend_to_unitary(np.eye(4)[:, :2], [np.nan, 0.0]),
-    "model-init": lambda: dilation.DilationModel(
-        2, 2, np.array([np.nan, 0.0]), np.eye(4), np.eye(2)).validate(),
-    "model-readout": lambda: dilation.DilationModel(
-        2, 2, np.array([1.0, 0.0]), np.eye(4), NAN2).validate(),
+    "model-init": lambda: dilation.DilationModel(2, 2, np.array([np.nan, 0.0]), np.eye(4), np.eye(2)),
+    "model-readout": lambda: dilation.DilationModel(2, 2, np.array([1.0, 0.0]), np.eye(4), NAN2),
 }
 
 

@@ -172,3 +172,24 @@ def test_pythagorean_trial_diagonalizes_each_matrix_once(eig_calls, monkeypatch)
         assert max(collections.Counter(seen).values()) <= 2, t
         if t == 0:
             assert len(eig_calls) <= 17  # 44 before
+
+
+# Decompositions and coercions of one default suite, verify.run_all(seed=0),
+# as ceilings. Each figure moves with the library's checks and entropies, not
+# with the host, so a change that adds full decompositions, values-only
+# decompositions or as_matrix coercions to it has to raise its figure here as a
+# recorded decision; the tracing gate of ROADMAP item 1 names these counts.
+RUN_ALL_CEILINGS = {"eig": 2090, "eigvals": 2295, "as_matrix": 23446}
+
+
+def test_run_all_stays_within_its_decomposition_counts(eig_calls, monkeypatch):
+    coerce = linalg.as_matrix
+
+    def counted(m):
+        eig_calls.append("as_matrix")
+        return coerce(m)
+
+    monkeypatch.setattr(linalg, "as_matrix", counted)
+    verify.run_all(VerifyConfig(seed=0))
+    counts = collections.Counter(eig_calls)
+    assert {k: n for k, n in counts.items() if n > RUN_ALL_CEILINGS[k]} == {}
