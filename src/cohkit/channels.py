@@ -286,6 +286,10 @@ class CorrelationMatrix:
         c = _read_only(linalg.as_square(self.matrix))
         vectors = _read_only(self.vectors)
         _correlation_spectrum(c)
+        if vectors.ndim != 2 or vectors.shape[1] != c.shape[0]:
+            raise DimMismatchError(f"vectors of shape {vectors.shape} need {c.shape[0]} columns")
+        # a NaN residual fails no "> tol" test below
+        linalg._finite(vectors, "vectors")
         if np.max(np.abs(vectors.conj().T @ vectors - c)) > linalg.DEFAULT_TOL:
             raise BadParameterError("vectors are not a Gram factorization of the matrix")
         object.__setattr__(self, "matrix", c)

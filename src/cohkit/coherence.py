@@ -11,7 +11,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DimMismatchError, IncompatibleFineGrainingError
-from .instruments import luders
+from .instruments import dephase, generalized_luders, luders
 from .states import BipartiteState, FineGraining, Observable, Povm, fine_graining
 
 
@@ -67,8 +67,6 @@ def hierarchy_gap(rho, obs: Observable, fg: FineGraining | None = None) -> float
     measures, and vanishes exactly when the fine-graining diagonalizes every
     block of rho.
     """
-    from .instruments import dephase
-
     r = linalg.as_square(rho)
     fg = _checked_fine_graining(obs, fg)
     return linalg.relative_entropy(luders(r, obs), dephase(r, fg.basis))
@@ -142,6 +140,4 @@ def povm_coherence(rho, povm: Povm) -> float:
 
 def povm_coherence_modified(rho, povm: Povm) -> float:
     """S(rho || sum_n M_n^(1/2) rho M_n^(1/2)); the second argument is a state."""
-    from .instruments import generalized_luders
-
     return linalg.relative_entropy(rho, generalized_luders(rho, povm))

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import linalg
+from .channels import kraus_channel
 from .errors import (
     BadParameterError,
     VectorOutsideEigenspaceError,
@@ -92,8 +93,6 @@ def repeatable_instrument(obs: Observable, theta, fg: FineGraining | None = None
     The channel is trace preserving by construction and leaves each outcome's
     post-state inside range(P_n), so an immediate second reading repeats.
     """
-    from .channels import kraus_channel
-
     if fg is None:
         fg = fine_graining(obs)
     elif not fg.refines(obs):

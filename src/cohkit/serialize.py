@@ -5,13 +5,11 @@ json.dumps(to_json(obj), indent=2) byte for byte; one writer formats the
 entry arrays directly, and save writes them a block at a time. The same
 writer prints the command line's --json documents.
 
-loads reads every entry list written in that layout (each pair on its own
-lines, the list closed by a "]" at the indentation of its "entries" key,
-every value finite) as one flat array, without a Python list per pair. Any
-other text that json.loads accepts (minified, tab-indented, non-finite or
-irregular entries, or a \\u0000 escape anywhere) is read by json.loads as a
-whole, so the accepted documents and every error message are the same on
-both paths.
+loads parses a document with one json.loads call whose object hook reads
+each matrix's entries, as soon as that matrix is parsed, into one flat array
+when they are [re, im] pairs of finite JSON numbers. So at most one matrix is
+held as Python lists, whatever the spelling of the text. Entries of any other
+form stay lists, for matrix_from_json to name what is wrong with them.
 
 Sizes (a matrix's dim, a bipartite state's dims, a dilation's dimensions and
 a document's top-level dim) must be JSON integers; a top-level dim must match
@@ -50,19 +48,14 @@ from .states import (
 _BLOCK = 1024
 # json spells these floats NaN, Infinity and -Infinity; float.__repr__ does not
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-# what opens an entry list in the file layout; loads reads each one whole
-_KEY = '"entries": ['
-# JSON whitespace, and every character a JSON number is written with
-_SPACE, _NUMBER = b" \t\n\r", b"0123456789.eE+-"
-_UNBRACKET = bytes.maketrans(b"[]", b"  ")
 
 
 class _Entries:
     """A matrix's entries as one flat C-ordered complex array.
 
-    Only this module makes one: _matrix_doc for the writer, and loads for an
-    entry list it read whole, every value finite. A document holding one is
-    never handed out, so matrix_from_json still takes lists of pairs only.
+    Only this module makes one: _matrix_doc for the writer, and _object for
+    the entries loads reads. A document holding one is never handed out, so
+    a caller's document reaches matrix_from_json with lists of pairs only.
     """
 
     __slots__ = ("values",)
@@ -114,6 +107,33 @@ def _number(value) -> float:
     return float(value)
 
 
+def _values(entries) -> np.ndarray | None:
+    """entries as one flat complex array when they are a list of [re, im]
+    lists of finite JSON numbers; None for anything else."""
+    if (not isinstance(entries, list) or not all(map(list.__instancecheck__, entries))
+            or set(map(len, entries)) != {2}):
+        return None
+    flat = list(chain.from_iterable(entries))
+    # numpy reads None as NaN and a string or a bool as a number
+    if not set(map(type, flat)) <= {int, float}:
+        return None
+    try:
+        values = np.array(flat, dtype=float)
+    except OverflowError:  # an int past the float range
+        return None
+    return values.view(complex) if np.isfinite(values).all() else None  # keeps -0.0
+
+
+def _object(pairs) -> dict:
+    """The dict json.loads builds from an object's pairs, a matrix's entries
+    read as an _Entries array where _values takes them. It never raises, so
+    bad entries reach matrix_from_json as lists."""
+    obj = dict(pairs)
+    if obj.get("type") == "matrix" and (values := _values(obj.get("entries"))) is not None:
+        obj["entries"] = _Entries(values)
+    return obj
+
+
 def matrix_from_json(obj) -> np.ndarray:
     if not isinstance(obj, dict) or obj.get("type") != "matrix":
         raise ParseError("expected a matrix object")
@@ -126,19 +146,10 @@ def matrix_from_json(obj) -> np.ndarray:
         raise ParseError("matrix dimensions must be positive")
     if not isinstance(entries, (list, _Entries)) or len(entries) != rows * cols:
         raise ParseError("matrix entry count does not match its dimensions")
-    if isinstance(entries, _Entries):
-        return entries.values.reshape(rows, cols)
-    try:
-        values = np.asarray(entries, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        values = None
-    # numpy reads None as NaN, a string or a bool as a number, and accepts
-    # tuples, so anything short of finite [re, im] lists of JSON numbers goes
-    # through the loop below, which names the bad index
-    if (values is not None and values.shape == (rows * cols, 2)
-            and np.isfinite(values).all() and all(map(list.__instancecheck__, entries))
-            and set(map(type, chain.from_iterable(entries))) <= {int, float}):
-        return values.view(complex).reshape(rows, cols)  # keeps the sign of -0.0
+    values = entries.values if isinstance(entries, _Entries) else _values(entries)
+    if values is not None:
+        return values.reshape(rows, cols)
+    # the loop names the bad index, and reads NaN and the infinities
     flat = np.empty(rows * cols, dtype=complex)
     for i, pair in enumerate(entries):
         if not isinstance(pair, list) or len(pair) != 2:
@@ -368,99 +379,13 @@ def dumps(obj) -> str:
     return _text(_document(obj))
 
 
-def _pairs(span: str):
-    """The values of an entry list `[[re, im], ...]` as a flat complex array,
-    or None unless span is exactly such a list with every value finite.
-
-    Raises ValueError for non-ASCII text or text json.loads refuses, and
-    OverflowError for numbers numpy cannot hold as floats.
-    """
-    raw = span.encode("ascii")
-    compact = raw.translate(None, _SPACE)
-    n = compact.count(b"[") - 1
-    # the brackets and commas of n pairs in order, and no number outside a
-    # pair: it starts "[[", ends "]]", and each other "]" is followed by ",["
-    if (compact.translate(None, _NUMBER) != b"[[,]" + b",[,]" * (n - 1) + b"]"
-            or compact[:2] != b"[[" or compact[-2:] != b"]]" or compact.count(b"],[") != n - 1):
-        return None
-    # with the inner brackets blanked the pairs are one flat JSON array, so
-    # each number is read by json's own number grammar
-    flat = bytearray(raw.translate(_UNBRACKET))
-    flat[0], flat[-1] = ord("["), ord("]")
-    values = np.array(json.loads(flat), dtype=float)
-    return values.view(complex) if np.isfinite(values).all() else None
-
-
-def _place(node, slots: dict, arrays: list, placed: list) -> bool:
-    """Put arrays[k] where placeholder k stands in a parsed skeleton; False
-    if a placeholder stands anywhere but as the value of an "entries" key."""
-    for key, value in node.items() if isinstance(node, dict) else enumerate(node):
-        if isinstance(value, (dict, list)):
-            if not _place(value, slots, arrays, placed):
-                return False
-        elif isinstance(value, str) and value in slots:
-            if key != "entries":
-                return False
-            placed.append(slots[value])
-            node[key] = _Entries(arrays[slots[value]])
-    return True
-
-
-def _read_whole(text: str):
-    """json.loads(text) with every entry list read as one array, or None
-    unless text has entry lists and each "entries": [ opens one in the file
-    layout.
-
-    Each list runs to the first "]" at the start of a line with the
-    indentation of its key. It is replaced by a placeholder string, and the
-    small skeleton left is parsed with json.loads; each placeholder must come
-    back once, as the value of an "entries" key, so none was inside a string,
-    another key or a duplicate key. A text that spells NUL is left whole to
-    json.loads, so no string in it can equal a placeholder.
-    """
-    if "\\u0000" in text:  # the only way JSON spells NUL, so no string is a placeholder
-        return None
-    pieces, arrays, pos = [], [], 0
-    while (at := text.find(_KEY, pos)) >= 0:
-        start = at
-        while start and text[start - 1] == " ":
-            start -= 1
-        indent, open_at = text[start:at], at + len(_KEY) - 1
-        close = text.find(f"\n{indent}]", open_at)
-        if close < 0:
-            return None
-        end = close + len(indent) + 2
-        values = _pairs(text[open_at:end])
-        if values is None:
-            return None
-        pieces += (text[pos:open_at], f'"\\u0000{len(arrays)}"')
-        arrays.append(values)
-        pos = end
-    if not arrays:
-        return None
-    pieces.append(text[pos:])
-    doc = json.loads("".join(pieces))
-    placed = []
-    slots = {f"\0{k}": k for k in range(len(arrays))}
-    if not _place(doc, slots, arrays, placed) or sorted(placed) != list(range(len(arrays))):
-        return None
-    return doc
-
-
 def loads(text: str, expect: str | None = None):
-    doc = None
-    if isinstance(text, str):
-        try:
-            doc = _read_whole(text)
-        except (ValueError, OverflowError, RecursionError):
-            pass  # json.loads below reads the text as a whole, or names the error
-    if doc is None:
-        try:
-            doc = json.loads(text)
-        except ValueError as exc:  # a decode error, or an integer too long to convert
-            raise ParseError(f"invalid JSON: {exc}") from exc
-        except RecursionError:
-            raise ParseError("invalid JSON: nesting too deep") from None
+    try:
+        doc = json.loads(text, object_pairs_hook=_object)
+    except ValueError as exc:  # a decode error, or an integer too long to convert
+        raise ParseError(f"invalid JSON: {exc}") from exc
+    except RecursionError:
+        raise ParseError("invalid JSON: nesting too deep") from None
     return from_json(doc, expect)
 
 

@@ -344,8 +344,9 @@ def fine_graining(obs: Observable, blocks=None) -> FineGraining:
 class BipartiteState:
     """A density matrix on a tensor product, with the factor dimensions recorded.
 
-    Immutable and checked when built: both dimensions must be integers, a bare
-    matrix is checked as a DensityMatrix, and its size must be their product.
+    Immutable and checked when built: both dimensions must be positive
+    integers, a bare matrix is checked as a DensityMatrix, and its size must
+    be their product.
     The two reductions are computed, as checked DensityMatrix values, on the
     first use of either and kept.
     """
@@ -354,9 +355,14 @@ class BipartiteState:
     state: DensityMatrix
 
     def __post_init__(self):
-        dim_a, dim_b = self.dims
+        try:
+            dim_a, dim_b = self.dims
+        except (TypeError, ValueError):  # not iterable, or not two values
+            raise BadParameterError("dims must be two subsystem dimensions") from None
         _integer("dim_a", dim_a)
         _integer("dim_b", dim_b)
+        if dim_a < 1 or dim_b < 1:
+            raise BadParameterError("subsystem dimensions must be positive")
         rho = self.state if isinstance(self.state, DensityMatrix) else DensityMatrix(self.state)
         if rho.dim != dim_a * dim_b:
             raise DimMismatchError(f"state dimension {rho.dim} is not {dim_a}*{dim_b}")

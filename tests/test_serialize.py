@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -233,7 +234,7 @@ def test_entry_reader_keeps_signed_zeros_and_non_finite_values():
 # -- the loader: every text reads as json.loads reads it ---------------------
 
 _M = np.array([0.25, -0.0, -1.5e-300, 2.0, 3.0, -0.0, 1e300, 0.5]).view(complex).reshape(2, 2)
-_LAYOUT = serialize.dumps(_M)  # the file layout the loader reads whole
+_LAYOUT = serialize.dumps(_M)  # the saved file layout
 _FIRST = "[\n      0.25,\n      -0.0\n    ]"  # the first pair in that layout
 
 
@@ -282,7 +283,7 @@ LOADER_TEXTS = {
     "number-outside-pair": _with_pair(_FIRST + " 7"),
     "number-before-pair": _with_pair("7 " + _FIRST),
     # a number moved out of its pair, next to an emptied slot: json.loads
-    # refuses each, and read flat with the brackets blanked they would pass
+    # refuses each, though the numbers alone read as a flat list of pairs
     "moved-before-first-pair": _with_pair("0.25 " + _pair("", "-0.0")),
     "moved-between-pairs": _LAYOUT.replace(_pair("-1.5e-300", "2.0"), "-1.5e-300 " + _pair("", "2.0")),
     "moved-after-last-pair": _LAYOUT.replace(_pair("1e+300", "0.5"), _pair("1e+300", "") + " 0.5"),
@@ -300,14 +301,14 @@ LOADER_TEXTS = {
     "non-ascii-space": _with_pair(_pair("0.25\u00a0", "-0.0")),
     "duplicate-entries": _LAYOUT[:-2] + ",\n  " + _LAYOUT[_LAYOUT.index('"entries"'):].replace("0.25", "9.5"),
     "entries-in-a-string": _state_text(note='"entries": [\n  [\n    1,\n    2\n  ]\n]'),
-    # both lists in a layout the loader reads whole; the first is a key's
+    # two entry lists in the saved layout; the first is a key's
     "escaped-quote-key": '{"type": "matrix", "dim": [1, 1], "x\\"entries": [\n[\n1,\n2\n]\n],'
                          '\n"entries": [\n[\n3,\n4\n]\n]\n}',
     "entries-elsewhere": _state_text(entries=[[1.0, 2.0], [3.0, 4.0]]),
-    # a string that reads as the loader's placeholder, where a matrix's entries go
+    # a string with a NUL escape, where a matrix's entries go
     "placeholder-collision": json.dumps({"type": "matrix", "dim": [2, 2], "entries": "\u00000",
                                          "other": serialize.matrix_to_json(_M)}, indent=2),
-    # the same, as a duplicate key after a list the loader reads whole
+    # the same, as a duplicate key after a list of pairs
     "placeholder-after-entries": _LAYOUT[:-2] + ',\n  "entries": "\\u00000"\n}',
     "non-ascii-elsewhere": _state_text(note="Lüders ✓ ρ"),
     "deep-nesting": _nested(200),
@@ -346,29 +347,48 @@ def test_loads_reads_every_text_as_json_loads_does(name):
     assert _outcome(serialize.loads, text) == _outcome(_oracle_loads, text)
 
 
-def _read_whole(text):
-    try:
-        return serialize._read_whole(text)
-    except (ValueError, OverflowError, RecursionError):
-        return None
+# the saved layout, minified and tab-indented
+SPELLINGS = ({"indent": 2}, {"separators": (",", ":")}, {"indent": "\t"})
 
 
-def test_the_table_covers_both_paths():
-    fast = {name for name, text in LOADER_TEXTS.items() if _read_whole(text) is not None}
-    assert fast == {"layout", "state", "indent-4", "crlf", "ints", "exponents", "entries-in-a-string",
-                    "extra-pair", "entries-elsewhere", "non-ascii-elsewhere",
-                    "deep-nesting", "wrong-count", "float-dim",
-                    "string-eigenvalue", "bool-eigenvalue", "int-eigenvalue"}
+def _matrices(doc):
+    if isinstance(doc, dict):
+        if doc.get("type") == "matrix":
+            yield doc
+        for value in doc.values():
+            yield from _matrices(value)
+    elif isinstance(doc, list):
+        for value in doc:
+            yield from _matrices(value)
 
 
 @pytest.mark.parametrize("kind", sorted(KINDS))
 def test_every_saved_kind_takes_the_whole_list_path(kind):
-    obj = KINDS[kind](16)
-    text = serialize.dumps(obj)
-    doc = serialize._read_whole(text)
-    assert doc is not None
-    # compared as text, which tells -0.0 from 0.0 and 1 from 1.0
-    assert json.dumps(serialize._plain(doc)) == json.dumps(json.loads(text))
+    saved = serialize.to_json(KINDS[kind](16))
+    for spelling in SPELLINGS:
+        text = json.dumps(saved, **spelling)
+        doc = json.loads(text, object_pairs_hook=serialize._object)
+        matrices = list(_matrices(doc))
+        assert matrices and all(isinstance(m["entries"], serialize._Entries) for m in matrices)
+        # compared as text, which tells -0.0 from 0.0 and 1 from 1.0
+        assert json.dumps(serialize._plain(doc)) == json.dumps(json.loads(text))
+
+
+@pytest.mark.parametrize("spelling", SPELLINGS[:2], ids=["layout", "minified"])
+def test_loads_holds_no_more_than_one_matrix_as_lists(spelling):
+    text = json.dumps(serialize.to_json(channels.random_io(32, seed=16)), **spelling)
+
+    def peak(read):
+        tracemalloc.start()
+        try:
+            read(text)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # reading every matrix as lists first, as json.loads does, peaks at
+    # about three times what the per-matrix hook needs
+    assert peak(serialize.loads) < peak(lambda t: serialize.from_json(json.loads(t))) / 2
 
 
 @pytest.mark.parametrize("name, message", [

@@ -340,6 +340,19 @@ NOT_CHECKED_VALUES = {
                         TraceNotOneError),
     "correlation-not-psd": (lambda: channels.CorrelationMatrix(
         matrix=np.array([[1.0, 2.0], [2.0, 1.0]]), vectors=np.eye(2)), NotPSDError),
+    # a NaN Gram residual fails no "> tol" test, and a wrong shape once
+    # raised numpy's broadcast error
+    "correlation-nan-vectors": (lambda: channels.CorrelationMatrix(
+        matrix=np.eye(2), vectors=np.full((2, 2), np.nan)), BadParameterError),
+    "correlation-vector-columns": (lambda: channels.CorrelationMatrix(
+        matrix=np.eye(2), vectors=np.ones((2, 3))), DimMismatchError),
+    # only the product of the dims was compared, or unpacking them raised
+    "bipartite-negative-dims": (lambda: states.BipartiteState(dims=(-2, -2), state=np.eye(4) / 4),
+                                BadParameterError),
+    "bipartite-three-dims": (lambda: states.BipartiteState(dims=(2, 2, 1), state=np.eye(4) / 4),
+                             BadParameterError),
+    "bipartite-one-dim": (lambda: states.BipartiteState(dims=4, state=np.eye(4) / 4),
+                          BadParameterError),
     "model-float-size": (lambda: dilation.DilationModel(
         2.0, 2, np.array([1.0, 0.0]), np.eye(4), np.eye(2)), BadParameterError),
     "model-not-unitary": (lambda: dilation.DilationModel(
