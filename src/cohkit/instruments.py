@@ -23,6 +23,7 @@ from .states import (
     FineGraining,
     Observable,
     Povm,
+    _fine_graining,
     _integer,
     _normalized_gram,
     as_generator,
@@ -79,10 +80,11 @@ def optimal_fine_grain(obs: Observable, rho) -> FineGraining:
     blocks = []
     for n in range(obs.n_outcomes):
         b_n = obs.block_basis(n)
-        block_rho = b_n.conj().T @ r @ b_n
-        spec = linalg.hermitian_eig(linalg.hermitize(block_rho))
-        blocks.append(b_n @ spec.eigenvectors)
-    return fine_graining(obs, tuple(blocks))
+        # hermitize leaves nothing to check but the finiteness an overflow breaks
+        block_rho = linalg._finite(linalg.hermitize(b_n.conj().T @ r @ b_n), "matrix")
+        blocks.append(b_n @ linalg._eigh(block_rho).eigenvectors)
+    # orthonormal columns inside range(P_n), as trustworthy as block_basis(n)
+    return _fine_graining(obs, tuple(blocks))
 
 
 def repeatable_instrument(obs: Observable, theta, fg: FineGraining | None = None):

@@ -18,6 +18,11 @@ check and ``kraus_channel``'s bound on sum K^dag K. A ``DensityMatrix`` keeps
 the spectrum its check computed, and the entropies of one read it from there
 (found by attribute, as ``as_matrix`` finds ``.matrix``), so a state the
 library holds is diagonalized once.
+Each kernel is its check, ``_hermitian``, then a private LAPACK call that
+checks nothing: ``_eigh`` or ``_eigvalsh``. Only code holding an array that
+``_hermitian`` (or the same test) has just checked, or that ``hermitize`` has
+just made, calls the private pair: the density check, ``make_povm`` and
+``optimal_fine_grain``'s blocks. So no value is checked twice.
 The two drivers agree to rounding, not bit for bit: results are
 byte-reproducible across reruns on one numpy and LAPACK, and differ by up to
 about 2e-15 from versions that took every spectrum from ``eigh``.
@@ -87,14 +92,22 @@ MAX_ENTRIES = 2**24
 
 def as_matrix(m) -> np.ndarray:
     """Coerce ``m`` (array-like or object with a ``.matrix``) to a complex 2-D array."""
-    a = np.asarray(getattr(m, "matrix", m), dtype=complex)
+    try:
+        a = np.asarray(getattr(m, "matrix", m))
+    except ValueError:  # numpy refuses a ragged nesting
+        raise ShapeMismatchError("matrix rows differ in length") from None
     if a.ndim != 2:
         raise ShapeMismatchError(f"expected a 2-D matrix, got ndim={a.ndim}")
-    return _finite(a, "matrix")
+    if a.dtype.kind == "O" and all(isinstance(z, numbers.Number) for z in a.flat):
+        a = a.astype(complex)  # numbers numpy holds as objects: Fraction, big ints
+    return _finite(a, "matrix").astype(complex, copy=False)
 
 
 def _finite(a: np.ndarray, what: str) -> np.ndarray:
-    # the one finiteness check: a NaN or inf entry is an error, never dropped
+    # the one entry check: numbers only (numpy would read the string "1" as
+    # 1), and a NaN or inf entry is an error, never dropped
+    if a.dtype.kind not in "biufc":
+        raise BadParameterError(f"{what} entries must be numbers")
     if not np.isfinite(a).all():
         raise BadParameterError(f"{what} entries must be finite")
     return a
@@ -174,7 +187,12 @@ def hermitian_eig(m) -> Spectrum:
     ``V diag(w) V^dag`` matches the input to 1e-10 for the dimensions this
     toolkit works at (d <= 64).
     """
-    a = _hermitian(m)
+    return _eigh(_hermitian(m))
+
+
+def _eigh(a: np.ndarray) -> Spectrum:
+    # hermitian_eig without the input check, for an array _hermitian checked
+    # or hermitize made
     try:
         w, v = np.linalg.eigh(hermitize(a))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
@@ -190,7 +208,11 @@ def hermitian_eigvals(m) -> np.ndarray:
     driver (``eigvalsh``), which skips building the eigenvectors. The values
     agree with ``hermitian_eig``'s to rounding, not bit for bit.
     """
-    a = _hermitian(m)
+    return _eigvalsh(_hermitian(m))
+
+
+def _eigvalsh(a: np.ndarray) -> np.ndarray:
+    # hermitian_eigvals without the input check, on the same terms as _eigh
     try:
         w = np.linalg.eigvalsh(hermitize(a))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
@@ -262,9 +284,9 @@ def hs_norm(m) -> float:
 def _require_density(a: np.ndarray, w: np.ndarray) -> None:
     """The one density check on a matrix and its eigenvalues.
 
-    The eigen kernel that gave ``w`` has raised NotHermitianError already,
-    so the order is Hermitian, then unit trace (TraceNotOneError), then PSD
-    (NotPositiveError).
+    ``_hermitian`` has raised NotHermitianError already, before the eigen
+    kernel gave ``w``, so the order is Hermitian, then unit trace
+    (TraceNotOneError), then PSD (NotPositiveError).
     """
     tr = complex(np.trace(a))
     if abs(tr - 1.0) > DEFAULT_TOL:
@@ -274,8 +296,8 @@ def _require_density(a: np.ndarray, w: np.ndarray) -> None:
 
 def _density_eigvals(m) -> tuple[np.ndarray, np.ndarray]:
     # the density check on eigenvalues alone: the coerced matrix and its spectrum
-    a = as_square(m)
-    w = hermitian_eigvals(a)
+    a = _hermitian(m)
+    w = _eigvalsh(a)
     _require_density(a, w)
     return a, w
 
@@ -312,8 +334,8 @@ def _clamped_density_eigvals(m) -> np.ndarray:
 def _clamped_density_eigs(m) -> tuple[np.ndarray, np.ndarray]:
     # _clamped_density_eigvals, with the eigenvectors too
     try:
-        a = as_square(m)
-        spec = hermitian_eig(a)
+        a = _hermitian(m)
+        spec = _eigh(a)
         _require_density(a, spec.eigenvalues)
     except _STATE_ERRORS as exc:
         raise InvalidStateError(f"state: {exc}") from None

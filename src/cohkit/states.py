@@ -10,7 +10,9 @@ read-only copy, so an object never changes after it is built (to change one,
 build a new one). A POVM holds its effects as one read-only (r, d, d) stack.
 Structure derived from a value is therefore computed once and shared by every
 later call: an observable's block bases, a fine-graining's joined basis and a
-bipartite state's reductions, each on first use.
+bipartite state's reductions, each on first use. A fine-graining keeps the
+answer of its check against its parent observable the same way; another
+observable is checked on every call.
 
 A DensityMatrix and a BipartiteState are checked when they are built, so a
 value of either type is always a state. ``DensityMatrix(m)`` raises
@@ -94,10 +96,10 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        # a DensityMatrix given is read through its .matrix, as as_matrix reads it
-        a, w = linalg._density_eigvals(_read_only(getattr(self.matrix, "matrix", self.matrix)))
-        a.setflags(write=False)  # the copy itself, or its complex coercion
-        object.__setattr__(self, "matrix", a)
+        # checked before the read-only copy is made, so a ragged or non-numeric
+        # input raises as as_matrix says
+        a, w = linalg._density_eigvals(self.matrix)
+        object.__setattr__(self, "matrix", _read_only(a))
         object.__setattr__(self, "_eigvals", _read_only(w))
 
     @cached_property
@@ -301,7 +303,15 @@ class FineGraining:
         """Column range of each block inside basis."""
         return self._block_slices
 
+    @cached_property
+    def _refines_parent(self) -> bool:
+        return self._refines(self.parent)
+
     def refines(self, obs: Observable) -> bool:
+        # both objects are immutable, so the answer for the parent is kept
+        return self._refines_parent if obs is self.parent else self._refines(obs)
+
+    def _refines(self, obs: Observable) -> bool:
         if len(self.blocks) != obs.n_outcomes or self.dim != obs.dim:
             return False
         for b, p in zip(self.blocks, obs.projectors):
@@ -332,6 +342,11 @@ def fine_graining(obs: Observable, blocks=None) -> FineGraining:
                 raise NonOrthonormalError(f"block {n} columns are not orthonormal")
             if np.max(np.abs(p @ b - b)) > linalg.DEFAULT_TOL:
                 raise VectorOutsideEigenspaceError(f"block {n} leaves range(P_{n})")
+    return _fine_graining(obs, blocks)
+
+
+def _fine_graining(obs: Observable, blocks: tuple) -> FineGraining:
+    # the fine-graining of blocks known to refine obs: no check, labels added
     eps = _label_step(obs)
     labels = tuple(
         obs.eigenvalues[n] + eps * np.arange(b.shape[1], dtype=float)
@@ -424,13 +439,9 @@ def make_povm(effects) -> Povm:
     for n, e in enumerate(ops):
         if e.shape != (d, d):
             raise DimMismatchError("effect dimensions differ")
-        try:
-            w = linalg.hermitian_eigvals(e)
-        except NotHermitianError:
-            raise NotHermitianError(
-                f"effect {n} is not Hermitian within {linalg.DEFAULT_TOL}"
-            ) from None
-        linalg._require_psd(w, NotPositiveError, f"effect {n} has ")
+        if linalg._hermiticity_defect(e) > linalg.DEFAULT_TOL:
+            raise NotHermitianError(f"effect {n} is not Hermitian within {linalg.DEFAULT_TOL}")
+        linalg._require_psd(linalg._eigvalsh(e), NotPositiveError, f"effect {n} has ")
     if np.max(np.abs(sum(ops) - np.eye(d))) > linalg.DEFAULT_TOL:
         raise BadParameterError("effects do not sum to the identity")
     return Povm(effects=ops)

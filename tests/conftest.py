@@ -25,14 +25,15 @@ os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("P
 def eig_calls(monkeypatch):
     """A list that grows by one on each eigendecomposition.
 
-    A linalg.hermitian_eig call appends "eig" and a values-only
-    linalg.hermitian_eigvals call appends "eigvals", so ``len`` counts every
-    decomposition and ``count("eig")`` the full ones.
+    Counted where LAPACK is called, in the kernels behind the public names: a
+    linalg._eigh call appends "eig" and a values-only linalg._eigvalsh call
+    appends "eigvals", so ``len`` counts every decomposition and
+    ``count("eig")`` the full ones, whichever entry reached them.
     """
     from cohkit import linalg
 
     calls = []
-    for name, tag in (("hermitian_eig", "eig"), ("hermitian_eigvals", "eigvals")):
+    for name, tag in (("_eigh", "eig"), ("_eigvalsh", "eigvals")):
         monkeypatch.setattr(linalg, name, _counted(getattr(linalg, name), calls, tag))
     return calls
 

@@ -85,6 +85,24 @@ def test_coarse_rejects_foreign_fine_graining():
         coherence.c_l1_coarse(rho, obs, fg)
 
 
+def test_a_fine_graining_checks_its_parent_once(monkeypatch):
+    obs = states.random_observable(4, (2, 2), seed=4)
+    fg = states.fine_graining(obs)
+    rho = states.random_density(4, seed=4).matrix
+    tests = []
+    refines = states.FineGraining._refines
+    monkeypatch.setattr(states.FineGraining, "_refines",
+                        lambda self, o: tests.append(o) or refines(self, o))
+    for _ in range(3):
+        coherence.hierarchy_gap(rho, obs, fg)
+        coherence.c_l1_coarse(rho, obs, fg)
+    assert tests == [obs]
+    # another observable, equal or not, is tested on every call
+    twin = states.observable_from_projectors(obs.eigenvalues, obs.projectors)
+    assert fg.refines(twin) and fg.refines(twin)
+    assert tests == [obs, twin, twin]
+
+
 def test_bell_state_correlation_split():
     st = bell_state()
     obs = z_observable()

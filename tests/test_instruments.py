@@ -79,6 +79,28 @@ def test_optimal_fine_grain_diagonalizes_blocks():
         assert np.max(np.abs(off)) < 1e-10
 
 
+def test_optimal_fine_grain_trusts_the_blocks_it_builds(monkeypatch):
+    obs = states.random_observable(6, (3, 2, 1), seed=6)
+    rho = states.random_density(6, seed=6)
+    checks = []
+    defect = linalg.orthonormality_defect
+    monkeypatch.setattr(linalg, "orthonormality_defect", lambda b: checks.append(1) or defect(b))
+    best = instruments.optimal_fine_grain(obs, rho)
+    assert checks == []
+    # the checked constructor accepts the same blocks and gives the same bits
+    checked = states.fine_graining(obs, best.blocks)
+    assert len(checks) == obs.n_outcomes
+    for got, want in zip(best.blocks + best.labels, checked.blocks + checked.labels):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_optimal_fine_grain_refuses_an_overflowing_block():
+    obs = states.random_observable(4, (2, 2), seed=4)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(BadParameterError, match="entries must be finite"):
+            instruments.optimal_fine_grain(obs, np.full((4, 4), 1e308))
+
+
 def test_repeatable_instrument_is_repeatable():
     obs = states.random_observable(4, (2, 2), seed=5)
     rng = np.random.default_rng(5)

@@ -1,4 +1,5 @@
 import dataclasses
+import fractions
 
 import numpy as np
 import pytest
@@ -255,15 +256,52 @@ def coercions(monkeypatch):
     return calls
 
 
-def test_density_and_povm_checks_coerce_each_matrix_twice(coercions):
+def test_density_and_povm_checks_coerce_each_matrix_once(coercions):
     effects = list(states.random_povm(3, 3, seed=2).effects)
     rho = states.random_density(3, seed=2).matrix
     coercions.clear()
     states.make_povm(effects)
-    assert len(coercions) == 6
+    assert len(coercions) == 3
     coercions.clear()
     states.validate_density(rho)
-    assert len(coercions) == 2
+    assert len(coercions) == 1
+
+
+NOT_NUMBERS = {
+    "letters": [["a", "b"], ["c", "d"]],
+    "numerals": [["1", "0"], ["0", "0"]],  # numpy alone would read |0><0|
+    "bytes": [[b"1", b"0"], [b"0", b"0"]],
+    "none": [[1.0, None], [0.0, 0.0]],
+}
+Z = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+MATRIX_ENTRIES = {
+    "density": lambda m: states.DensityMatrix(m),
+    "correlation-matrix": lambda m: channels.CorrelationMatrix(matrix=m, vectors=np.eye(2)),
+    "correlation-vectors": lambda m: channels.CorrelationMatrix(matrix=np.eye(2), vectors=np.array(m)),
+    "relative-entropy": lambda m: linalg.relative_entropy(m, np.eye(2) / 2),
+    "luders": lambda m: instruments.luders(m, states.observable_from_projectors([1.0, -1.0], Z)),
+}
+
+
+@pytest.mark.parametrize("call", MATRIX_ENTRIES.values(), ids=MATRIX_ENTRIES.keys())
+@pytest.mark.parametrize("m", NOT_NUMBERS.values(), ids=NOT_NUMBERS.keys())
+def test_matrix_entries_that_are_not_numbers_are_refused(m, call):
+    # these used to escape as numpy's ValueError or TypeError, or, for
+    # numerals, to be read as numbers
+    with pytest.raises(BadParameterError, match="entries must be numbers"):
+        call(m)
+
+
+def test_python_numbers_held_as_objects_are_still_read():
+    half = fractions.Fraction(1, 2)
+    rho = states.DensityMatrix(np.array([[half, 0], [0, half]], dtype=object))
+    assert np.array_equal(rho.matrix, np.eye(2) / 2) and rho.matrix.dtype == complex
+
+
+@pytest.mark.parametrize("entry", ["density", "correlation-matrix", "relative-entropy", "luders"])
+def test_ragged_matrices_are_refused(entry):
+    with pytest.raises(ShapeMismatchError, match="rows differ in length"):
+        MATRIX_ENTRIES[entry]([[0.5, 0.0], [0.0]])
 
 
 def test_povm_checks_keep_their_order():
