@@ -284,7 +284,7 @@ class CorrelationMatrix:
 
     def __post_init__(self):
         c = _read_only(linalg.as_square(self.matrix))
-        vectors = _read_only(self.vectors)
+        vectors = _read_only(linalg._array(self.vectors))
         _correlation_spectrum(c)
         if vectors.ndim != 2 or vectors.shape[1] != c.shape[0]:
             raise DimMismatchError(f"vectors of shape {vectors.shape} need {c.shape[0]} columns")

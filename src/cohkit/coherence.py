@@ -11,8 +11,8 @@ import numpy as np
 
 from . import linalg
 from .errors import DimMismatchError, IncompatibleFineGrainingError
-from .instruments import dephase, generalized_luders, luders
-from .states import BipartiteState, FineGraining, Observable, Povm, fine_graining
+from .instruments import _dephased, _pinch, _pinched, generalized_luders, luders
+from .states import BipartiteState, FineGraining, Observable, Povm, _known_density, fine_graining
 
 
 def c_l1(rho, basis) -> float:
@@ -69,7 +69,12 @@ def hierarchy_gap(rho, obs: Observable, fg: FineGraining | None = None) -> float
     """
     r = linalg.as_square(rho)
     fg = _checked_fine_graining(obs, fg)
-    return linalg.relative_entropy(luders(r, obs), dephase(r, fg.basis))
+    pinched, (sigma, diag) = luders(r, obs), _dephased(r, fg.basis)
+    # refines has checked fg.basis, and the dephased state is diagonal in it,
+    # so its diagonal and fg.basis are sigma's eigensystem
+    sigma_eigs = linalg._clamped(diag), fg.basis
+    return linalg._relative_entropy_core(pinched.matrix, sigma.matrix, sigma_eigs,
+                                         linalg._clamped(pinched.eigenvalues()))
 
 
 def mutual_information(state: BipartiteState) -> float:
@@ -80,20 +85,16 @@ def mutual_information(state: BipartiteState) -> float:
     return s_a + s_b - s_ab
 
 
-def _check_b_observable(state: BipartiteState, obs: Observable) -> None:
+def _b_pinching(state: BipartiteState, obs: Observable) -> tuple:
     if obs.dim != state.dim_b:
         raise DimMismatchError("observable does not act on the B factor")
+    return obs._pinching(state.dim_a)
 
 
 def luders_on_b(state: BipartiteState, obs: Observable) -> BipartiteState:
     """Pinch the B factor: sum_n (1 x P_n) rho (1 x P_n)."""
-    _check_b_observable(state, obs)
-    eye_a = np.eye(state.dim_a)
-    out = np.zeros_like(state.state.matrix)
-    for p in obs.projectors:
-        lifted = linalg.tensor(eye_a, p)
-        out += lifted @ state.state.matrix @ lifted
-    return BipartiteState(dims=state.dims, state=linalg.hermitize(out))
+    pinched = _pinched(state.state.matrix, *_b_pinching(state, obs))
+    return BipartiteState(dims=state.dims, state=pinched)
 
 
 def qi_coherence(state: BipartiteState, obs: Observable) -> float:
@@ -114,21 +115,26 @@ def classical_correlation(state: BipartiteState, obs: Observable) -> float:
     conditional states; outcomes with p_n below ``linalg.PROB_FLOOR`` are
     skipped.
     """
-    _check_b_observable(state, obs)
-    rho = state.state.matrix
     rho_a = state.reduced_a()
-    eye_a = np.eye(state.dim_a)
     total = 0.0
-    for p in obs.projectors:
-        proj = linalg.tensor(eye_a, p)
-        cond = proj @ rho @ proj
-        p_n = float(np.real(np.trace(cond)))
-        if p_n < linalg.PROB_FLOOR:
-            continue
-        cond = BipartiteState(dims=state.dims, state=linalg.hermitize(cond) / p_n)
+    for p_n, cond in _conditional_states(state, obs):
         total += p_n * linalg.relative_entropy(cond.reduced_a(), rho_a)
         total += p_n * mutual_information(cond)
     return total
+
+
+def _conditional_states(state: BipartiteState, obs: Observable):
+    # (p_n, rho_AB|n) of each outcome with p_n >= PROB_FLOOR, in outcome order:
+    # block n of the pinching over p_n, whose spectrum is block n's, padded
+    # with zeros, over p_n
+    frame, layout = _b_pinching(state, obs)
+    big, spectra = _pinch(state.state.matrix, frame, layout)
+    for n, s in enumerate(layout[0]):
+        p_n = float(np.real(np.trace(big[s, s])))
+        if p_n >= linalg.PROB_FLOOR:
+            cond = linalg.hermitize(frame[:, s] @ big[s, s] @ frame[:, s].conj().T) / p_n
+            w = np.concatenate((spectra[n], np.zeros(frame.shape[0] - spectra[n].size))) / p_n
+            yield p_n, BipartiteState(dims=state.dims, state=_known_density(cond, w))
 
 
 def povm_coherence(rho, povm: Povm) -> float:

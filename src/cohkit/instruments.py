@@ -4,7 +4,10 @@ The block pinching sends rho to sum_n P_n rho P_n for the eigenprojectors of
 an observable; full dephasing is the nondegenerate special case. Both are
 idempotent and the pinching is the closest block-diagonal state to rho in
 Hilbert-Schmidt distance. Each reading that returns a DensityMatrix checks
-it when it builds it, so one whose result is not a state raises.
+it when it builds it, so one whose result is not a state raises. The
+pinching compresses rho once into the observable's frame, R = F^dag rho F,
+and is checked on the spectra of the diagonal blocks of R; a dephased state
+is checked on its diagonal.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from .states import (
     Povm,
     _fine_graining,
     _integer,
+    _known_density,
     _normalized_gram,
     as_generator,
     fine_graining,
@@ -41,16 +45,40 @@ def born_probabilities(rho, measurement) -> np.ndarray:
 def dephase(rho, basis) -> DensityMatrix:
     """Remove all off-diagonal entries of rho in the given orthonormal basis."""
     r = linalg.as_square(rho)
-    b = linalg.basis_matrix(basis, r.shape[0])
+    return _dephased(r, linalg.basis_matrix(basis, r.shape[0]))[0]
+
+
+def _dephased(r: np.ndarray, b: np.ndarray) -> tuple[DensityMatrix, np.ndarray]:
+    # dephase in a checked basis b, and the diagonal in b, which is the spectrum
     diag = np.real(np.diag(b.conj().T @ r @ b))
-    return DensityMatrix(matrix=(b * diag) @ b.conj().T)
+    return _known_density(linalg.hermitize((b * diag) @ b.conj().T), diag), diag
 
 
 def luders(rho, obs: Observable) -> DensityMatrix:
     """Nonselective reading: sum_n P_n rho P_n."""
     r = linalg.as_square(rho, obs.dim, "state and observable")
-    out = sum(p @ r @ p for p in obs.projectors)
-    return DensityMatrix(matrix=linalg.hermitize(out))
+    return _pinched(r, *obs._pinching())
+
+
+def _pinch(r: np.ndarray, frame: np.ndarray, layout: tuple) -> tuple[np.ndarray, dict]:
+    # r compressed into the frame, R = F^dag r F, and the spectrum of each
+    # diagonal block of R by outcome: one stacked eigvalsh per block width
+    # >= 2, and 1x1 blocks read off the diagonal
+    big = linalg._finite(frame.conj().T @ r @ frame, "matrix")
+    spectra = {}
+    for outcomes, cols in layout[2]:
+        blocks = big[cols[:, :, None], cols[:, None, :]]
+        w = blocks.real.reshape(-1, 1) if cols.shape[1] == 1 else linalg._eigvalsh(blocks)
+        spectra.update(zip(outcomes, w))
+    return big, spectra
+
+
+def _pinched(r: np.ndarray, frame: np.ndarray, layout: tuple) -> DensityMatrix:
+    # the pinching of r by the frame's column blocks, F (R on its blocks) F^dag,
+    # checked on the spectra of its blocks
+    big, spectra = _pinch(r, frame, layout)
+    out = frame @ np.where(layout[1], big, 0.0) @ frame.conj().T
+    return _known_density(linalg.hermitize(out), np.concatenate(list(spectra.values())))
 
 
 def luders_outcome(rho, obs: Observable, n: int) -> tuple[float, DensityMatrix]:

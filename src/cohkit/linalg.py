@@ -21,8 +21,17 @@ library holds is diagonalized once.
 Each kernel is its check, ``_hermitian``, then a private LAPACK call that
 checks nothing: ``_eigh`` or ``_eigvalsh``. Only code holding an array that
 ``_hermitian`` (or the same test) has just checked, or that ``hermitize`` has
-just made, calls the private pair: the density check, ``make_povm`` and
-``optimal_fine_grain``'s blocks. So no value is checked twice.
+just made, calls the private pair: the density check, ``make_povm``,
+``optimal_fine_grain``'s blocks and the pinchings' blocks. So no value is
+checked twice. ``_eigvalsh`` also takes a (count, k, k) stack, one row of
+eigenvalues per matrix.
+Pinched and dephased states take their spectrum from their blocks: ``luders``,
+``luders_on_b`` and ``classical_correlation``'s conditional states compress a
+state once into their observable's frame and diagonalize only its diagonal
+blocks, stacked by width, and ``dephase`` keeps its diagonal. Each is checked
+as a state on that spectrum, so none runs a d x d decomposition.
+``hierarchy_gap`` passes the dephased state's diagonal and the fine-graining's
+basis as sigma's eigensystem to the relative entropy.
 The two drivers agree to rounding, not bit for bit: results are
 byte-reproducible across reruns on one numpy and LAPACK, and differ by up to
 about 2e-15 from versions that took every spectrum from ``eigh``.
@@ -92,15 +101,20 @@ MAX_ENTRIES = 2**24
 
 def as_matrix(m) -> np.ndarray:
     """Coerce ``m`` (array-like or object with a ``.matrix``) to a complex 2-D array."""
-    try:
-        a = np.asarray(getattr(m, "matrix", m))
-    except ValueError:  # numpy refuses a ragged nesting
-        raise ShapeMismatchError("matrix rows differ in length") from None
+    a = _array(getattr(m, "matrix", m))
     if a.ndim != 2:
         raise ShapeMismatchError(f"expected a 2-D matrix, got ndim={a.ndim}")
     if a.dtype.kind == "O" and all(isinstance(z, numbers.Number) for z in a.flat):
         a = a.astype(complex)  # numbers numpy holds as objects: Fraction, big ints
     return _finite(a, "matrix").astype(complex, copy=False)
+
+
+def _array(m) -> np.ndarray:
+    # np.asarray, with numpy's refusal of a ragged nesting as ShapeMismatchError
+    try:
+        return np.asarray(m)
+    except ValueError:
+        raise ShapeMismatchError("matrix rows differ in length") from None
 
 
 def _finite(a: np.ndarray, what: str) -> np.ndarray:
@@ -163,7 +177,7 @@ def basis_matrix(basis, dim: int) -> np.ndarray:
     return b
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class Spectrum:
     """Eigenvalues sorted non-increasing, with aligned orthonormal eigenvector columns."""
 
@@ -212,12 +226,13 @@ def hermitian_eigvals(m) -> np.ndarray:
 
 
 def _eigvalsh(a: np.ndarray) -> np.ndarray:
-    # hermitian_eigvals without the input check, on the same terms as _eigh
+    # hermitian_eigvals without the input check, on the same terms as _eigh;
+    # a (count, k, k) stack gives one row of eigenvalues per matrix
     try:
         w = np.linalg.eigvalsh(hermitize(a))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NoConvergenceError(str(exc)) from exc
-    return w[::-1]  # eigvalsh sorts ascending
+    return w[..., ::-1]  # eigvalsh sorts ascending
 
 
 def _check_entries(entries: int, what: str) -> None:

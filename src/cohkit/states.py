@@ -12,16 +12,22 @@ Structure derived from a value is therefore computed once and shared by every
 later call: an observable's block bases, a fine-graining's joined basis and a
 bipartite state's reductions, each on first use. A fine-graining keeps the
 answer of its check against its parent observable the same way; another
-observable is checked on every call.
+observable is checked on every call. An observable keeps the frame it was
+built from, a unitary whose column blocks span its eigenspaces:
+``random_observable`` keeps the unitary it drew and ``spectral_decompose`` the
+eigenvectors it found, and any other observable puts its block bases side by
+side on first use. The pinchings compress a state into that frame.
 
 A DensityMatrix and a BipartiteState are checked when they are built, so a
 value of either type is always a state. ``DensityMatrix(m)`` raises
 NotHermitianError, TraceNotOneError or NotPositiveError for a matrix that is
 not one, and keeps the eigenvalues its check computed; the library's
-entropies of a DensityMatrix read them instead of diagonalizing again. The one
-exception is ``channels.evolve_path``: it checks its input state and wraps
-each later step unchecked, because a trace-preserving channel maps states to
-states, and such a step computes its spectrum on first use.
+entropies of a DensityMatrix read them instead of diagonalizing again. A
+pinched or dephased state is checked, with the same errors in the same order,
+on the spectrum read off its blocks. The one exception is
+``channels.evolve_path``: it checks its input state and wraps each later step
+unchecked, because a trace-preserving channel maps states to states, and such
+a step computes its spectrum on first use.
 """
 
 from __future__ import annotations
@@ -125,6 +131,16 @@ def _unchecked_density(matrix: np.ndarray) -> DensityMatrix:
     return rho
 
 
+def _known_density(matrix: np.ndarray, w: np.ndarray) -> DensityMatrix:
+    # a DensityMatrix of a hermitized matrix whose spectrum w (in any order) is
+    # known: DensityMatrix's check after the Hermitian test, run on w, then the
+    # matrix and w, sorted non-increasing, kept read-only
+    linalg._require_density(linalg._finite(matrix, "matrix"), w)
+    rho = _unchecked_density(matrix)
+    object.__setattr__(rho, "_eigvals", _read_only(np.sort(w)[::-1]))
+    return rho
+
+
 def validate_density(m) -> DensityMatrix:
     """Check Hermiticity, unit trace and positivity, and wrap the matrix."""
     return DensityMatrix(m)
@@ -136,7 +152,9 @@ class Observable:
 
     Immutable: the fields cannot be reassigned and the eigenvalues and
     projectors are read-only copies of what the constructor was given. Each
-    block basis is computed on its first use and reused after it.
+    block basis is computed on its first use and reused after it, and so is
+    the frame: a unitary whose column blocks span the eigenspaces in outcome
+    order, which the pinchings compress a state into.
     """
 
     eigenvalues: np.ndarray        # distinct, strictly decreasing
@@ -153,6 +171,26 @@ class Observable:
     def _block_bases(self) -> list:
         # slot n holds block_basis(n) once it has been computed
         return [None] * self.n_outcomes
+
+    @cached_property
+    def _frame(self) -> np.ndarray:
+        # the block bases side by side, unless the factory kept the unitary
+        # it built the projectors from
+        return _read_only(np.hstack([self.block_basis(n) for n in range(self.n_outcomes)]))
+
+    @cached_property
+    def _pinchings(self) -> dict:
+        # dim A -> the frame and block layout of 1_A x obs, each made on first use
+        return {}
+
+    def _pinching(self, dim_a: int = 1) -> tuple:
+        # block n of 1_A x obs is 1_A x (block n of the frame)
+        if dim_a not in self._pinchings:
+            eye_a = np.eye(dim_a)
+            lifted = [linalg._kron(eye_a, self._frame[:, s]) for s in _slices(self.degeneracies)]
+            layout = _block_layout([dim_a * k for k in self.degeneracies])
+            self._pinchings[dim_a] = _read_only(np.hstack(lifted)), layout
+        return self._pinchings[dim_a]
 
     @property
     def dim(self) -> int:
@@ -211,6 +249,23 @@ class Observable:
         return self
 
 
+def _slices(widths) -> tuple[slice, ...]:
+    # the column slices of blocks of these widths side by side
+    ends = np.cumsum(widths, dtype=int).tolist()
+    return tuple(slice(e - k, e) for e, k in zip(ends, widths))
+
+
+def _block_layout(widths) -> tuple:
+    # blocks of these widths side by side: their column slices, the
+    # block-diagonal mask, and per block width the outcomes of that width
+    # with their (count, width) column indices
+    labels, groups = np.repeat(np.arange(len(widths)), widths), {}
+    for n, k in enumerate(widths):
+        groups.setdefault(k, []).append(n)
+    return (_slices(widths), labels[:, None] == labels,
+            [(ns, np.array([np.flatnonzero(labels == n) for n in ns])) for ns in groups.values()])
+
+
 def observable_from_projectors(values, projectors) -> Observable:
     """Build an Observable from eigenvalues and projectors, sorting values decreasing."""
     vals = np.asarray(values, dtype=float)
@@ -254,11 +309,13 @@ def spectral_decompose(h) -> Observable:
                 f"cluster gap {gap} is not above group_tol={linalg.GROUP_TOL}"
             )
     degs = tuple(len(g) for g in groups)
-    return Observable(
+    obs = Observable(
         eigenvalues=np.asarray(values, dtype=float),
         projectors=tuple(projectors),
         degeneracies=degs,
     )
+    object.__setattr__(obs, "_frame", _read_only(v))  # the clusters are column blocks of v
+    return obs
 
 
 @dataclass(eq=False, frozen=True)
@@ -293,11 +350,7 @@ class FineGraining:
 
     @cached_property
     def _block_slices(self) -> tuple[slice, ...]:
-        out, start = [], 0
-        for b in self.blocks:
-            out.append(slice(start, start + b.shape[1]))
-            start += b.shape[1]
-        return tuple(out)
+        return _slices([b.shape[1] for b in self.blocks])
 
     def block_slices(self) -> tuple[slice, ...]:
         """Column range of each block inside basis."""
@@ -485,14 +538,10 @@ def random_observable(dim: int, profile, seed=0) -> Observable:
     spare = max(10.0, n) - 0.5 * (n - 1)
     shares = rng.dirichlet(np.ones(n + 1))[:n]
     vals = (0.5 * np.arange(n) + spare * np.cumsum(shares))[::-1]
-    projectors, start = [], 0
-    for p in profile:
-        cols = u[:, start:start + p]
-        projectors.append(cols @ cols.conj().T)
-        start += p
-    return Observable(
-        eigenvalues=vals, projectors=tuple(projectors), degeneracies=profile
-    )
+    projectors = tuple(u[:, s] @ u[:, s].conj().T for s in _slices(profile))
+    obs = Observable(eigenvalues=vals, projectors=projectors, degeneracies=profile)
+    object.__setattr__(obs, "_frame", _read_only(u))  # the projectors are column blocks of u
+    return obs
 
 
 def random_povm(dim: int, n_effects: int, seed=0) -> Povm:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -52,6 +53,22 @@ def test_eigvals_match_the_full_decomposition(d):
         assert w.shape == (d,)
         assert np.all(np.diff(w) <= 0.0)
         assert np.max(np.abs(w - linalg.hermitian_eig(m).eigenvalues)) <= 1e-13
+
+
+def test_eigvals_of_a_stack_are_each_matrix_eigvals():
+    rng = np.random.default_rng(7)
+    stack = np.array([rand_hermitian(rng, 5) for _ in range(4)])
+    w = linalg._eigvalsh(stack)
+    assert w.shape == (4, 5)
+    for m, w_m in zip(stack, w):
+        assert np.max(np.abs(w_m - linalg.hermitian_eigvals(m))) <= 1e-14
+
+
+def test_a_spectrum_is_frozen():
+    spec = linalg.hermitian_eig(np.diag([1.0, 0.0]))
+    for field in ("eigenvalues", "eigenvectors"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(spec, field, np.zeros(2))
 
 
 @pytest.mark.parametrize("m, error", [

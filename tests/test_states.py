@@ -277,7 +277,7 @@ Z = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
 MATRIX_ENTRIES = {
     "density": lambda m: states.DensityMatrix(m),
     "correlation-matrix": lambda m: channels.CorrelationMatrix(matrix=m, vectors=np.eye(2)),
-    "correlation-vectors": lambda m: channels.CorrelationMatrix(matrix=np.eye(2), vectors=np.array(m)),
+    "correlation-vectors": lambda m: channels.CorrelationMatrix(matrix=np.eye(2), vectors=m),
     "relative-entropy": lambda m: linalg.relative_entropy(m, np.eye(2) / 2),
     "luders": lambda m: instruments.luders(m, states.observable_from_projectors([1.0, -1.0], Z)),
 }
@@ -298,7 +298,8 @@ def test_python_numbers_held_as_objects_are_still_read():
     assert np.array_equal(rho.matrix, np.eye(2) / 2) and rho.matrix.dtype == complex
 
 
-@pytest.mark.parametrize("entry", ["density", "correlation-matrix", "relative-entropy", "luders"])
+@pytest.mark.parametrize("entry", ["density", "correlation-matrix", "correlation-vectors",
+                                   "relative-entropy", "luders"])
 def test_ragged_matrices_are_refused(entry):
     with pytest.raises(ShapeMismatchError, match="rows differ in length"):
         MATRIX_ENTRIES[entry]([[0.5, 0.0], [0.0]])
