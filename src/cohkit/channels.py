@@ -142,6 +142,11 @@ def phase_damping(p: float) -> KrausChannel:
     return kraus_channel([k0, k1])
 
 
+def _map_kind(mapping) -> str:
+    # a map of indices in range(len(mapping)) permutes them iff it is one-to-one
+    return "permutation" if len(set(mapping)) == len(mapping) else "relabeling"
+
+
 @dataclass(eq=False, frozen=True)
 class IndexMap:
     """A map i -> f(i) of basis indices, as read off an operator's column pattern.
@@ -166,7 +171,7 @@ class IndexMap:
 
     @property
     def kind(self) -> str:
-        return "permutation" if len(set(self.mapping)) == self.dim else "relabeling"
+        return _map_kind(self.mapping)
 
     def matrix(self) -> np.ndarray:
         m = np.zeros((self.dim, self.dim), dtype=complex)

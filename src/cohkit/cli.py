@@ -28,7 +28,12 @@ MAX_JOINT_DIM = 1024
 # complex entries: 256 MiB, a d=4096 state or 4095 evolve steps at d=64; the
 # library's one size bound, bound here so a test can lower it for the CLI
 MAX_ENTRIES = linalg.MAX_ENTRIES
-# columns of the round-trip check's superoperator formed at once (see below)
+# columns of the round-trip check's superoperator formed at once. The check
+# keeps the columns some Kraus operator reaches, all d^2 of them for a channel
+# rotated by --basis or a dense io list; a tile of d rows by ROUND_TRIP_TILE
+# columns (256 KB a product at d=64) then bounds its memory, where the whole
+# d^2 x d^2 difference would peak near 800 MB, and fits in L2 cache, where a
+# d x d^2 row block (4 MB a product) does not
 ROUND_TRIP_TILE = 256
 
 
@@ -91,7 +96,7 @@ def _cmd_classify(args):
     if label != channels.NOT_IO:
         f, c = ch._form
         doc["factors"] = [{
-            "kind": channels.IndexMap(mapping=tuple(mapping)).kind,
+            "kind": channels._map_kind(mapping),
             "mapping": mapping,
             "diagonal": [[float(z.real), float(z.imag)] for z in diag],
         } for mapping, diag in zip(f.tolist(), c)]
@@ -116,16 +121,18 @@ def _round_trip_residual(model, ch) -> float:
     d = ch.dim
     x = dilation.extract_kraus(model).kraus.reshape(-1, d * d)
     y = ch.kraus.reshape(-1, d * d)
+    # S[p, q] = sum_n x[n, p] conj(x[n, q]) minus the same in y is exactly
+    # 0 - 0 when no operator reaches column p or none reaches q, so only the
+    # columns some operator reaches are kept: at most r*d of the d^2 for r
+    # incoherent-form operators; a kept entry is the same r-term inner
+    # product, so the maximum is the same bits
+    keep = np.flatnonzero(np.any(x != 0, axis=0) | np.any(y != 0, axis=0))
+    x, y = x[:, keep], y[:, keep]
     xc, yc = x.conj(), y.conj()
-    # one d x d^2 row block of S at a time: the full d^2 x d^2 difference
-    # (channel_superoperator) peaks near 800 MB at d=64, the blocks near 50 MB;
-    # and one tile of ROUND_TRIP_TILE columns of a block at a time, which fits
-    # in L2 cache where a d=64 row block (4 MB a product) does not. Each entry
-    # is the same inner product either way, so the maximum is the same bits.
     worst = 0.0
-    for a in range(d):
-        rows = slice(a * d, (a + 1) * d)
-        for c in range(0, d * d, ROUND_TRIP_TILE):
+    for a in range(0, keep.size, d):
+        rows = slice(a, a + d)
+        for c in range(0, keep.size, ROUND_TRIP_TILE):
             cols = slice(c, c + ROUND_TRIP_TILE)
             diff = x[:, rows].T @ xc[:, cols] - y[:, rows].T @ yc[:, cols]
             worst = max(worst, float(np.max(np.abs(diff))))

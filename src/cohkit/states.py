@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -186,10 +186,13 @@ class Observable:
     def _pinching(self, dim_a: int = 1) -> tuple:
         # block n of 1_A x obs is 1_A x (block n of the frame)
         if dim_a not in self._pinchings:
-            eye_a = np.eye(dim_a)
-            lifted = [linalg._kron(eye_a, self._frame[:, s]) for s in _slices(self.degeneracies)]
-            layout = _block_layout([dim_a * k for k in self.degeneracies])
-            self._pinchings[dim_a] = _read_only(np.hstack(lifted)), layout
+            frame = self._frame  # 1_1 x obs is obs, and a product with eye(1) is exact
+            if dim_a > 1:
+                eye_a = np.eye(dim_a)
+                frame = _read_only(np.hstack(
+                    [linalg._kron(eye_a, frame[:, s]) for s in _slices(self.degeneracies)]))
+            layout = _block_layout(tuple(dim_a * k for k in self.degeneracies))
+            self._pinchings[dim_a] = frame, layout
         return self._pinchings[dim_a]
 
     @property
@@ -255,15 +258,18 @@ def _slices(widths) -> tuple[slice, ...]:
     return tuple(slice(e - k, e) for e, k in zip(ends, widths))
 
 
-def _block_layout(widths) -> tuple:
+@lru_cache(maxsize=64)
+def _block_layout(widths: tuple[int, ...]) -> tuple:
     # blocks of these widths side by side: their column slices, the
     # block-diagonal mask, and per block width the outcomes of that width
-    # with their (count, width) column indices
+    # with their (count, width) column indices; one layout serves every
+    # observable with these widths, so nothing in it can be written to
     labels, groups = np.repeat(np.arange(len(widths)), widths), {}
     for n, k in enumerate(widths):
         groups.setdefault(k, []).append(n)
-    return (_slices(widths), labels[:, None] == labels,
-            [(ns, np.array([np.flatnonzero(labels == n) for n in ns])) for ns in groups.values()])
+    return (_slices(widths), _read_only(labels[:, None] == labels),
+            tuple((tuple(ns), _read_only([np.flatnonzero(labels == n) for n in ns]))
+                  for ns in groups.values()))
 
 
 def observable_from_projectors(values, projectors) -> Observable:

@@ -20,6 +20,24 @@ def matrix_units(d):
             yield e
 
 
+def dense_round_trip_residual(model, ch):
+    # the check over all d^2 rows and columns of the superoperator, one
+    # d x ROUND_TRIP_TILE tile at a time: the reference the supported form
+    # must equal bit for bit
+    d = ch.dim
+    x = dilation.extract_kraus(model).kraus.reshape(-1, d * d)
+    y = ch.kraus.reshape(-1, d * d)
+    xc, yc = x.conj(), y.conj()
+    worst = 0.0
+    for a in range(d):
+        rows = slice(a * d, (a + 1) * d)
+        for c in range(0, d * d, cli.ROUND_TRIP_TILE):
+            cols = slice(c, c + cli.ROUND_TRIP_TILE)
+            diff = x[:, rows].T @ xc[:, cols] - y[:, rows].T @ yc[:, cols]
+            worst = max(worst, float(np.max(np.abs(diff))))
+    return worst
+
+
 def action_residual(ch_a, ch_b):
     worst = 0.0
     for e in matrix_units(ch_a.dim):
@@ -261,6 +279,68 @@ def test_round_trip_residual_sees_a_single_output_row(target):
     expect = action_residual(dilation.extract_kraus(model), weakened)
     assert expect > 0.5
     assert abs(cli._round_trip_residual(model, weakened) - expect) <= 1e-15
+
+
+def test_round_trip_residual_reads_columns_one_side_reaches():
+    # spread sends each column to outputs 0 and 1 with weight 1/2, reset sends
+    # it to output 2: on the columns spread reaches the two differ by 1/2, on
+    # those only reset reaches by 1
+    def unit(k, i, w):
+        m = np.zeros((3, 3), dtype=complex)
+        m[k, i] = w
+        return m
+
+    spread = channels.kraus_channel([unit(k, i, np.sqrt(0.5)) for k in (0, 1) for i in range(3)])
+    reset = channels.kraus_channel([unit(2, i, 1.0) for i in range(3)])
+    for model, ch in [(dilation.dilate(spread), reset), (dilation.dilate(reset), spread)]:
+        expect = action_residual(dilation.extract_kraus(model), ch)
+        assert abs(expect - 1.0) <= 1e-15
+        assert abs(cli._round_trip_residual(model, ch) - expect) <= 1e-15
+
+
+def _rotated(name, d):
+    # a gio or io channel written in a random basis b: its operators reach
+    # every superoperator column, and dilate(ch, b) still models it
+    b = states.random_unitary(d, seed=d)
+    inner = channels.random_io(d, seed=d) if name == "io" else channels.random_gio(d, 3, seed=d)
+    return channels.kraus_channel([b @ k @ b.conj().T for k in inner.kraus]), b
+
+
+@pytest.mark.parametrize("name,d", [
+    ("gio", 16), ("gio", 32), ("gio", 64), ("sio", 16), ("sio", 32), ("sio", 64),
+    ("io", 16), ("io", 32), ("rotated-gio", 16), ("rotated-io", 8),
+])
+def test_round_trip_residual_on_the_support_equals_the_dense_check(name, d):
+    basis = None
+    if name == "io":
+        ch = channels.random_io(d, seed=d)
+    elif name.startswith("rotated-"):
+        ch, basis = _rotated(name.removeprefix("rotated-"), d)
+        assert np.all(ch.kraus != 0)
+    else:
+        ch = getattr(channels, f"random_{name}")(d, 3, seed=d)
+    model = dilation.dilate(ch, basis)
+    expect = dense_round_trip_residual(model, ch)
+    if name.endswith("gio"):
+        # gio models round, so nonzero bits are compared; sio and io models
+        # read the operators back exactly, and both checks read 0
+        assert expect > 0.0
+    assert cli._round_trip_residual(model, ch).hex() == expect.hex()
+
+
+def test_round_trip_residual_at_d256():
+    # joint dimension 512, which dilate accepts; both lists are diagonal, so
+    # the check forms d^2 superoperator entries where the dense one forms d^4
+    ch = channels.random_gio(256, 2, seed=256)
+    model = dilation.dilate(ch)
+    assert cli._round_trip_residual(model, ch) <= 1e-12
+    u = model.joint_unitary.copy()
+    u[1, 2] += 0.05
+    w, _, vh = np.linalg.svd(u)
+    nudged = dilation.DilationModel(
+        model.system_dim, model.ancilla_dim, model.apparatus_init, w @ vh, model.readout_basis
+    )
+    assert cli._round_trip_residual(nudged, ch) > 1e-3
 
 
 def test_dilate_von_neumann_rejects_empty_matrix():

@@ -158,3 +158,16 @@ def test_hierarchy_gap_takes_sigma_from_the_fine_graining(eig_calls, monkeypatch
     eig_calls.clear()
     assert abs(coherence.hierarchy_gap(rho, obs, fg) - expect) <= 1e-12
     assert eig_calls.count("eig") == 0 and defects == []
+
+
+def test_a_block_layout_is_frozen_and_shared():
+    a = _random(16, PROFILES[16])
+    b = _direct(16, PROFILES[16])
+    layout = a._pinching()[1]
+    assert b._pinching()[1] is layout
+    assert a._pinching(2)[1] is b._pinching(2)[1] is not layout
+    _, mask, groups = layout
+    assert not mask.flags.writeable
+    assert all(not cols.flags.writeable for _, cols in groups)
+    with pytest.raises(ValueError):
+        mask[0, -1] = True
