@@ -22,12 +22,23 @@ is the order of ``REGISTRY``), so the whole report is a pure function of the
 configuration, and moving a definition redraws every report. Nothing here
 prints timing or machine state; two runs with the same seed emit identical
 bytes.
+
+Since each result depends only on its seed child and the configuration,
+``run_all`` runs the suite in two processes where that is safe: with at
+least two CPUs in the process's affinity and no thread besides the caller's
+(so BLAS on one thread, as the tests, CI and the benchmark set it), a forked
+child runs every other property and pipes its results back. Elsewhere (one
+CPU, a second thread alive, or no ``os.sched_getaffinity`` and ``/proc``, as
+on macOS and Windows) the suite runs in-process. The report is the same
+bytes either way.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import os
+import pickle
 from dataclasses import dataclass
 
 import numpy as np
@@ -510,21 +521,13 @@ def _check_sieve_action(rng, cfg, t):
     return _worst(*residuals)
 
 
-def _is_io_form(ch: channels.KrausChannel) -> bool:
+def _map_kinds(ch: channels.KrausChannel) -> set[str] | None:
+    """The kinds of the index maps of ch's Kraus operators; None unless each
+    operator has the incoherent form."""
     try:
-        for k in ch.kraus:
-            channels.factor_kraus(k)
+        return {channels.factor_kraus(k)[0].kind for k in ch.kraus}
     except channels.NotIOFormError:
-        return False
-    return True
-
-
-def _is_sio_form(ch: channels.KrausChannel) -> bool:
-    try:
-        maps = [channels.factor_kraus(k)[0] for k in ch.kraus]
-    except channels.NotIOFormError:
-        return False
-    return all(m.kind == "permutation" for m in maps)
+        return None
 
 
 @_property(tol=EXACT, trials=15)
@@ -535,10 +538,9 @@ def _check_classify_monotonicity(rng, cfg, t):
     io = channels.random_io(d, rng)
     ok = (
         channels.classify(gio) == channels.GIO
-        and _is_sio_form(gio)
-        and _is_io_form(gio)
+        and _map_kinds(gio) == {"permutation"}
         and channels.classify(sio) in (channels.GIO, channels.SIO_NOT_GIO)
-        and _is_io_form(sio)
+        and _map_kinds(sio) is not None
         and channels.classify(io)
         in (channels.GIO, channels.SIO_NOT_GIO, channels.IO_NOT_SIO)
         and channels.io_completeness_check(gio)
@@ -658,14 +660,12 @@ def _dilation_cases(rng, cfg):
     yield model, lambda x, ps=projs: sum(p @ x @ p for p in ps)
 
     obs = states.random_observable(4, (2, 1, 1), rng)
-    model = dilation.dilate_luders(obs)
-    yield model, lambda x, o=obs: sum(p @ x @ p for p in o.projectors)
+    yield dilation.dilate_luders(obs), lambda x, o=obs: sum(p @ x @ p for p in o.projectors)
 
     for t in range(3):
         d = _dim(cfg, t, lo=2, hi=5)
         ch = channels.random_gio(d, 1 + t % d, rng)
-        model = dilation.dilate_gio(ch)
-        yield model, lambda x, c=ch: channels.apply_to_operator(c, x)
+        yield dilation.dilate_gio(ch), functools.partial(channels.apply_to_operator, ch)
 
     # diagonal in a rotated basis
     d = 3
@@ -673,18 +673,16 @@ def _dilation_cases(rng, cfg):
     inner = channels.random_gio(d, 2, rng)
     rotated = channels.kraus_channel([b @ k @ b.conj().T for k in inner.kraus])
     model = dilation.dilate_gio(rotated, basis=b)
-    yield model, lambda x, c=rotated: channels.apply_to_operator(c, x)
+    yield model, functools.partial(channels.apply_to_operator, rotated)
 
     for t in range(2):
         d = _dim(cfg, t, lo=2, hi=5)
         ch = channels.random_sio(d, 2 + t, rng)
-        model = dilation.dilate_incoherent(ch)
-        yield model, lambda x, c=ch: channels.apply_to_operator(c, x)
+        yield dilation.dilate_incoherent(ch), functools.partial(channels.apply_to_operator, ch)
     for t in range(2):
         d = _dim(cfg, t, lo=2, hi=5)
         ch = channels.random_io(d, rng)
-        model = dilation.dilate_incoherent(ch)
-        yield model, lambda x, c=ch: channels.apply_to_operator(c, x)
+        yield dilation.dilate_incoherent(ch), functools.partial(channels.apply_to_operator, ch)
 
     d = 3
     model = dilation.DilationModel(
@@ -800,9 +798,69 @@ def run_all(cfg: VerifyConfig) -> list[PropertyResult]:
     if cfg.trials is not None and states._integer("trials", cfg.trials) < 1:
         raise BadParameterError(f"trials must be at least 1, got {cfg.trials}")
     root = np.random.SeedSequence(states._seed(cfg.seed))
-    children = root.spawn(len(REGISTRY))
-    results = [check(child, cfg) for check, child in zip(REGISTRY, children)]
+    jobs = list(zip(REGISTRY, root.spawn(len(REGISTRY))))
+    results = _forked(jobs, cfg) if _can_fork() else _run(jobs, cfg)
     return sorted(results, key=lambda r: r.name)
+
+
+def _run(jobs, cfg: VerifyConfig) -> list[PropertyResult]:
+    return [check(child, cfg) for check, child in jobs]
+
+
+def _can_fork() -> bool:
+    """Whether a second process may run half the suite: two CPUs to run on,
+    and no thread besides this one, which could hold a lock at the fork."""
+    try:
+        return len(os.sched_getaffinity(0)) > 1 and len(os.listdir("/proc/self/task")) == 1
+    except (AttributeError, OSError):  # no affinity call or no /proc (macOS, Windows)
+        return False
+
+
+def _forked(jobs, cfg: VerifyConfig) -> list[PropertyResult]:
+    """Run ``jobs[1::2]`` in a forked child and ``jobs[::2]`` here.
+
+    The child pickles its results, or the exception a property raised, into a
+    pipe and exits at once; the exception is raised again here. The child is
+    always reaped, and killed first when this side raises. Where no process
+    can be had, every job runs here.
+    """
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # EAGAIN or ENOMEM
+        os.close(read)
+        os.close(write)
+        return _run(jobs, cfg)
+    if pid == 0:  # the child never returns
+        code = 1
+        try:
+            os.close(read)
+            try:
+                payload = _run(jobs[1::2], cfg)
+            except Exception as exc:
+                payload = exc
+            with open(write, "wb") as pipe:
+                pickle.dump(payload, pipe)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write)
+    try:
+        with open(read, "rb") as pipe:
+            results = _run(jobs[::2], cfg)
+            data = pipe.read()
+    except BaseException:
+        os.kill(pid, 9)  # SIGKILL, without loading the signal module
+        raise
+    finally:
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if code:
+        # a negative status is the signal that ended the child
+        raise RuntimeError(f"the child running half the suite exited with status {code}, no result")
+    theirs = pickle.loads(data)
+    if isinstance(theirs, Exception):
+        raise theirs
+    return results + theirs
 
 
 def format_report(results: list[PropertyResult], cfg: VerifyConfig) -> str:

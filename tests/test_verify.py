@@ -1,13 +1,17 @@
 import collections
 import contextlib
 import io
+import json
 import math
+import os
 import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 
-from cohkit import cli, coherence, linalg, verify
+from cohkit import channels, cli, coherence, linalg, verify
 from cohkit.errors import BadParameterError
 from cohkit.verify import VerifyConfig
 
@@ -92,7 +96,9 @@ def test_registry_lists_every_property_in_seed_order():
         assert check(np.random.SeedSequence(0), cfg).name == name
 
 
-def test_run_all_runs_each_per_trial_property_trials_times():
+def test_run_all_runs_each_per_trial_property_trials_times(monkeypatch):
+    # the profile hook sees this process only
+    monkeypatch.setattr(verify, "_can_fork", lambda: False)
     names = {check.__wrapped__.__code__: check.__name__.removeprefix("_check_")
              for check in verify.REGISTRY}
     assert sorted(names.values()) == sorted(NAMES)
@@ -136,20 +142,30 @@ def test_run_all_refuses_settings_that_are_not_integers_in_range(setting):
         verify.run_all(VerifyConfig(**setting))
 
 
-def test_run_all_reads_the_registry_when_called(monkeypatch):
-    seen = []
+@pytest.fixture
+def no_child_left():
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
-    def fake(name):
-        def check(seed, cfg):
-            seen.append((name, seed.spawn_key))
-            return verify.PropertyResult(name, True, 0.0, 0.0)
 
-        return check
+def _fake(name):
+    """A property that reports the spawn key of the seed child it was given."""
 
-    monkeypatch.setattr(verify, "REGISTRY", (fake("b"), fake("a")))
-    results = verify.run_all(VerifyConfig(seed=4))
-    assert [r.name for r in results] == ["a", "b"]
-    assert seen == [("b", (0,)), ("a", (1,))]
+    def check(seed, cfg):
+        return verify.PropertyResult(name, True, 0.0, 0.0, repr(seed.spawn_key))
+
+    return check
+
+
+def test_run_all_reads_the_registry_when_called(monkeypatch, no_child_left):
+    monkeypatch.setattr(verify, "REGISTRY", tuple(_fake(name) for name in "dcba"))
+    for fork in (True, False):
+        monkeypatch.setattr(verify, "_can_fork", lambda: fork)
+        results = verify.run_all(VerifyConfig(seed=4))
+        assert [(r.name, r.detail) for r in results] == [
+            ("a", "(3,)"), ("b", "(2,)"), ("c", "(1,)"), ("d", "(0,)")
+        ], fork
 
 
 def test_pythagorean_trial_diagonalizes_each_matrix_once(eig_calls, monkeypatch):
@@ -183,6 +199,8 @@ RUN_ALL_CEILINGS = {"eig": 2012, "eigvals": 2200, "as_matrix": 18740}
 
 
 def test_run_all_stays_within_its_decomposition_counts(eig_calls, monkeypatch):
+    # the counters see this process only; a forked child would take half the suite
+    monkeypatch.setattr(verify, "_can_fork", lambda: False)
     coerce = linalg.as_matrix
 
     def counted(m):
@@ -193,3 +211,116 @@ def test_run_all_stays_within_its_decomposition_counts(eig_calls, monkeypatch):
     verify.run_all(VerifyConfig(seed=0))
     counts = collections.Counter(eig_calls)
     assert {k: n for k, n in counts.items() if n > RUN_ALL_CEILINGS[k]} == {}
+
+
+# The suite in two processes: a forked child runs every other property.
+
+
+@pytest.mark.parametrize("setting", [
+    *({"seed": seed} for seed in range(10)),
+    {"seed": 1, "trials": 1}, {"seed": 1, "dim_max": 3}, {"seed": 1, "corrupt": True},
+], ids=lambda setting: ",".join(f"{k}={v!r}" for k, v in setting.items()))
+def test_forked_and_in_process_reports_are_the_same_bytes(monkeypatch, no_child_left, setting):
+    cfg = VerifyConfig(**setting)
+    reports = []
+    for fork in (True, False):
+        monkeypatch.setattr(verify, "_can_fork", lambda: fork)
+        results = verify.run_all(cfg)
+        reports.append(
+            (verify.format_report(results, cfg), json.dumps(verify.report_json(results, cfg)))
+        )
+    assert reports[0] == reports[1]
+
+
+def _planted(*args, **kwargs):
+    raise channels.NotIOFormError("planted in the child's half")
+
+
+def test_an_error_in_the_childs_half_reaches_the_caller(monkeypatch, no_child_left):
+    # only classify_monotonicity checks IO completeness, and the child runs it
+    assert verify.REGISTRY.index(verify._check_classify_monotonicity) % 2 == 1
+    monkeypatch.setattr(channels, "io_completeness_check", _planted)
+    outcomes = []
+    for fork in (True, False):
+        monkeypatch.setattr(verify, "_can_fork", lambda: fork)
+        with pytest.raises(channels.NotIOFormError) as caught:
+            verify.run_all(VerifyConfig(trials=1))
+        assert (caught.type, str(caught.value)) == (
+            channels.NotIOFormError, "planted in the child's half"
+        )
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            outcomes.append((cli.main(["verify", "--trials", "1"]), out.getvalue(), err.getvalue()))
+    assert outcomes[0] == outcomes[1] == (3, "", "validation error: planted in the child's half\n")
+
+
+def _dies(seed, cfg):
+    os._exit(3)
+
+
+def test_a_child_that_dies_without_a_result_is_named(monkeypatch, no_child_left):
+    monkeypatch.setattr(verify, "REGISTRY", (_fake("a"), _dies))
+    monkeypatch.setattr(verify, "_can_fork", lambda: True)
+    with pytest.raises(RuntimeError, match="exited with status 3, no result$"):
+        verify.run_all(VerifyConfig())
+
+
+def _interrupted(seed, cfg):
+    raise KeyboardInterrupt
+
+
+def _sleeps(seed, cfg):
+    time.sleep(60)
+
+
+def test_an_interrupt_here_kills_the_child(monkeypatch, no_child_left):
+    monkeypatch.setattr(verify, "REGISTRY", (_interrupted, _sleeps))
+    monkeypatch.setattr(verify, "_can_fork", lambda: True)
+    start = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        verify.run_all(VerifyConfig())
+    assert time.perf_counter() - start < 30
+
+
+def _never_forks(jobs, cfg):
+    raise AssertionError("forked")
+
+
+def _no_process(*args):
+    raise BlockingIOError(11, "Resource temporarily unavailable")
+
+
+def test_a_failed_fork_runs_the_suite_in_process(monkeypatch, no_child_left):
+    monkeypatch.setattr(verify, "_can_fork", lambda: True)
+    monkeypatch.setattr(os, "fork", _no_process)
+    fds = len(os.listdir("/proc/self/fd"))
+    results = verify.run_all(VerifyConfig(trials=1))
+    assert all(r.passed for r in results)
+    assert len(os.listdir("/proc/self/fd")) == fds  # the pipe is closed
+
+
+def test_one_cpu_runs_the_suite_in_process(monkeypatch, no_child_left):
+    monkeypatch.setattr(verify, "_forked", _never_forks)
+    cpus = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(cpus)})
+    try:
+        assert not verify._can_fork()
+        results = verify.run_all(VerifyConfig(trials=1))
+    finally:
+        os.sched_setaffinity(0, cpus)
+    assert all(r.passed for r in results)
+
+
+def test_a_second_thread_runs_the_suite_in_process(monkeypatch, no_child_left):
+    monkeypatch.setattr(verify, "_forked", _never_forks)
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait)
+    waiter.start()
+    try:
+        assert not verify._can_fork()
+        results = verify.run_all(VerifyConfig(trials=1))
+    finally:
+        release.set()
+        waiter.join(timeout=10)
+    assert not waiter.is_alive()
+    assert all(r.passed for r in results)
