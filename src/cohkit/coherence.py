@@ -11,7 +11,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DimMismatchError, IncompatibleFineGrainingError
-from .instruments import _dephased, _pinch, _pinched, generalized_luders, luders
+from .instruments import _pinch, _pinched, _pinched_entropy, generalized_luders, luders
 from .states import BipartiteState, FineGraining, Observable, Povm, _known_density, fine_graining
 
 
@@ -57,7 +57,7 @@ def c_l1_coarse(rho, obs: Observable, fg: FineGraining | None = None) -> float:
 def c_re_coarse(rho, obs: Observable) -> float:
     """S(pinched rho) - S(rho); independent of any fine-graining choice."""
     r = linalg.as_square(rho, obs.dim, "state and observable")
-    return linalg.von_neumann_entropy(luders(r, obs)) - linalg.von_neumann_entropy(rho)
+    return _pinched_entropy(r, *obs._pinching()) - linalg.von_neumann_entropy(rho)
 
 
 def hierarchy_gap(rho, obs: Observable, fg: FineGraining | None = None) -> float:
@@ -69,11 +69,13 @@ def hierarchy_gap(rho, obs: Observable, fg: FineGraining | None = None) -> float
     """
     r = linalg.as_square(rho)
     fg = _checked_fine_graining(obs, fg)
-    pinched, (sigma, diag) = luders(r, obs), _dephased(r, fg.basis)
-    # refines has checked fg.basis, and the dephased state is diagonal in it,
-    # so its diagonal and fg.basis are sigma's eigensystem
+    pinched = luders(r, obs)
+    # sigma, the dephased state, is read only through its eigensystem: its
+    # diagonal in fg.basis, which refines has checked. It needs no state check
+    # once the pinching has passed one: each entry lies in a block's spectrum.
+    diag = np.real(np.diag(fg.basis.conj().T @ r @ fg.basis))
     sigma_eigs = linalg._clamped(diag), fg.basis
-    return linalg._relative_entropy_core(pinched.matrix, sigma.matrix, sigma_eigs,
+    return linalg._relative_entropy_core(pinched.matrix, None, sigma_eigs,
                                          linalg._clamped(pinched.eigenvalues()))
 
 
@@ -99,8 +101,8 @@ def luders_on_b(state: BipartiteState, obs: Observable) -> BipartiteState:
 
 def qi_coherence(state: BipartiteState, obs: Observable) -> float:
     """Entropy generated on the joint state by pinching B alone."""
-    pinched = luders_on_b(state, obs)
-    return linalg.von_neumann_entropy(pinched.state) - linalg.von_neumann_entropy(state.state)
+    s_pinched = _pinched_entropy(state.state.matrix, *_b_pinching(state, obs))
+    return s_pinched - linalg.von_neumann_entropy(state.state)
 
 
 def luders_discord(state: BipartiteState, obs: Observable) -> float:
@@ -116,9 +118,13 @@ def classical_correlation(state: BipartiteState, obs: Observable) -> float:
     skipped.
     """
     rho_a = state.reduced_a()
+    # rho_A is diagonalized once, and each conditional reduction keeps its spectrum
+    sigma_eigs = linalg._clamped_density_eigs(rho_a)
     total = 0.0
     for p_n, cond in _conditional_states(state, obs):
-        total += p_n * linalg.relative_entropy(cond.reduced_a(), rho_a)
+        cond_a = cond.reduced_a()
+        total += p_n * linalg._relative_entropy_core(
+            cond_a.matrix, rho_a.matrix, sigma_eigs, linalg._clamped(cond_a.eigenvalues()))
         total += p_n * mutual_information(cond)
     return total
 

@@ -45,13 +45,9 @@ def born_probabilities(rho, measurement) -> np.ndarray:
 def dephase(rho, basis) -> DensityMatrix:
     """Remove all off-diagonal entries of rho in the given orthonormal basis."""
     r = linalg.as_square(rho)
-    return _dephased(r, linalg.basis_matrix(basis, r.shape[0]))[0]
-
-
-def _dephased(r: np.ndarray, b: np.ndarray) -> tuple[DensityMatrix, np.ndarray]:
-    # dephase in a checked basis b, and the diagonal in b, which is the spectrum
-    diag = np.real(np.diag(b.conj().T @ r @ b))
-    return _known_density(linalg.hermitize((b * diag) @ b.conj().T), diag), diag
+    b = linalg.basis_matrix(basis, r.shape[0])
+    diag = np.real(np.diag(b.conj().T @ r @ b))  # the spectrum of the result
+    return _known_density(linalg.hermitize((b * diag) @ b.conj().T), diag)
 
 
 def luders(rho, obs: Observable) -> DensityMatrix:
@@ -81,6 +77,17 @@ def _pinched(r: np.ndarray, frame: np.ndarray, layout: tuple) -> DensityMatrix:
     return _known_density(linalg.hermitize(out), np.concatenate(list(spectra.values())))
 
 
+def _pinched_entropy(r: np.ndarray, frame: np.ndarray, layout: tuple) -> float:
+    # the entropy of _pinched(r, frame, layout) without building it: its block
+    # spectra, checked as _known_density checks them (on the real part of the
+    # trace of R, the pinching's up to rounding), sorted non-increasing as a
+    # DensityMatrix keeps them
+    big, spectra = _pinch(r, frame, layout)
+    w = np.concatenate(list(spectra.values()))
+    linalg._require_density(np.trace(big).real, w)
+    return linalg._entropy(linalg._clamped(np.sort(w)[::-1]))
+
+
 def luders_outcome(rho, obs: Observable, n: int) -> tuple[float, DensityMatrix]:
     """Probability and normalized post-state for outcome n.
 
@@ -105,14 +112,18 @@ def optimal_fine_grain(obs: Observable, rho) -> FineGraining:
     the fine measure collapses onto the coarse one.
     """
     r = linalg.as_square(rho, obs.dim, "state and observable")
-    blocks = []
-    for n in range(obs.n_outcomes):
-        b_n = obs.block_basis(n)
-        # hermitize leaves nothing to check but the finiteness an overflow breaks
-        block_rho = linalg._finite(linalg.hermitize(b_n.conj().T @ r @ b_n), "matrix")
-        blocks.append(b_n @ linalg._eigh(block_rho).eigenvectors)
-    # orthonormal columns inside range(P_n), as trustworthy as block_basis(n)
-    return _fine_graining(obs, tuple(blocks))
+    frame, layout = obs._pinching()
+    # rho compressed once, R = F^dag rho F; hermitize (which _eigh repeats
+    # exactly) leaves nothing to check but the finiteness an overflow breaks
+    big = linalg._finite(linalg.hermitize(frame.conj().T @ r @ frame), "matrix")
+    blocks = {}
+    for outcomes, cols in layout[2]:
+        f = np.moveaxis(frame[:, cols], 1, 0)  # the (count, d, k) frame blocks
+        if cols.shape[1] > 1:  # one stacked eigh per width; a 1x1 block keeps its column
+            f = f @ linalg._eigh(big[cols[:, :, None], cols[:, None, :]]).eigenvectors
+        blocks.update(zip(outcomes, f))
+    # orthonormal columns inside range(P_n), as trustworthy as the frame
+    return _fine_graining(obs, tuple(blocks[n] for n in range(obs.n_outcomes)))
 
 
 def repeatable_instrument(obs: Observable, theta, fg: FineGraining | None = None):

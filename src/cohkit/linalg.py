@@ -23,13 +23,15 @@ checks nothing: ``_eigh`` or ``_eigvalsh``. Only code holding an array that
 ``_hermitian`` (or the same test) has just checked, or that ``hermitize`` has
 just made, calls the private pair: the density check, ``make_povm``,
 ``optimal_fine_grain``'s blocks and the pinchings' blocks. So no value is
-checked twice. ``_eigvalsh`` also takes a (count, k, k) stack, one row of
-eigenvalues per matrix.
+checked twice. Both also take a (count, k, k) stack, each matrix's result
+along the last axis.
 Pinched and dephased states take their spectrum from their blocks: ``luders``,
 ``luders_on_b`` and ``classical_correlation``'s conditional states compress a
 state once into their observable's frame and diagonalize only its diagonal
 blocks, stacked by width, and ``dephase`` keeps its diagonal. Each is checked
-as a state on that spectrum, so none runs a d x d decomposition.
+as a state on that spectrum, so none runs a d x d decomposition;
+``c_re_coarse`` and ``qi_coherence`` read their entropy off that spectrum
+without building the pinched state.
 ``hierarchy_gap`` passes the dephased state's diagonal and the fine-graining's
 basis as sigma's eigensystem to the relative entropy.
 The two drivers agree to rounding, not bit for bit: results are
@@ -206,13 +208,14 @@ def hermitian_eig(m) -> Spectrum:
 
 def _eigh(a: np.ndarray) -> Spectrum:
     # hermitian_eig without the input check, for an array _hermitian checked
-    # or hermitize made
+    # or hermitize made; a (count, k, k) stack gives each matrix's pairs
+    # along the last axis, each ordered as a single matrix's would be
     try:
         w, v = np.linalg.eigh(hermitize(a))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NoConvergenceError(str(exc)) from exc
-    order = np.argsort(-w, kind="stable")
-    return Spectrum(eigenvalues=w[order], eigenvectors=v[:, order])
+    order = np.argsort(-w, axis=-1, kind="stable")
+    return Spectrum(np.take_along_axis(w, order, -1), np.take_along_axis(v, order[..., None, :], -1))
 
 
 def hermitian_eigvals(m) -> np.ndarray:
@@ -296,14 +299,14 @@ def hs_norm(m) -> float:
     return float(np.linalg.norm(as_matrix(m)))
 
 
-def _require_density(a: np.ndarray, w: np.ndarray) -> None:
-    """The one density check on a matrix and its eigenvalues.
+def _require_density(tr, w: np.ndarray) -> None:
+    """The one density check on a matrix's trace and its eigenvalues.
 
     ``_hermitian`` has raised NotHermitianError already, before the eigen
     kernel gave ``w``, so the order is Hermitian, then unit trace
     (TraceNotOneError), then PSD (NotPositiveError).
     """
-    tr = complex(np.trace(a))
+    tr = complex(tr)
     if abs(tr - 1.0) > DEFAULT_TOL:
         raise TraceNotOneError(f"trace {tr} is not 1 within {DEFAULT_TOL}")
     _require_psd(w, NotPositiveError)
@@ -313,7 +316,7 @@ def _density_eigvals(m) -> tuple[np.ndarray, np.ndarray]:
     # the density check on eigenvalues alone: the coerced matrix and its spectrum
     a = _hermitian(m)
     w = _eigvalsh(a)
-    _require_density(a, w)
+    _require_density(np.trace(a), w)
     return a, w
 
 
@@ -351,7 +354,7 @@ def _clamped_density_eigs(m) -> tuple[np.ndarray, np.ndarray]:
     try:
         a = _hermitian(m)
         spec = _eigh(a)
-        _require_density(a, spec.eigenvalues)
+        _require_density(np.trace(a), spec.eigenvalues)
     except _STATE_ERRORS as exc:
         raise InvalidStateError(f"state: {exc}") from None
     return _clamped(spec.eigenvalues), spec.eigenvectors
@@ -366,14 +369,16 @@ def shannon_entropy(p) -> float:
         raise BadParameterError(f"probability {q.min()} below -{DEFAULT_TOL}")
     if abs(q.sum() - 1.0) > DEFAULT_TOL:
         raise BadParameterError(f"probabilities sum to {q.sum()}, not 1 within {DEFAULT_TOL}")
-    q = _clamped(q)
-    pos = q[q > 0.0]
-    return float(-np.sum(pos * np.log2(pos)))
+    return _entropy(_clamped(q))
 
 
 def von_neumann_entropy(rho) -> float:
     """Von Neumann entropy in bits. Raises InvalidStateError on a non-state."""
-    w = _clamped_density_eigvals(rho)
+    return _entropy(_clamped_density_eigvals(rho))
+
+
+def _entropy(w: np.ndarray) -> float:
+    # -sum w log2 w over the positive entries of clamped values
     pos = w[w > 0.0]
     return float(-np.sum(pos * np.log2(pos)))
 
@@ -392,17 +397,15 @@ def _relative_entropy_core(
         _require_psd(spec.eigenvalues, InvalidStateError, "second argument has ")
         sigma_eigs = _clamped(spec.eigenvalues), spec.eigenvectors
     ws, vs = sigma_eigs
-    pos = wr[wr > 0.0]
-    tr_rho_log_rho = float(np.sum(pos * np.log2(pos)))
-    # weights <u_j| rho |u_j> in the eigenbasis of sigma
-    u = np.real(np.einsum("ij,ik,kj->j", vs.conj(), rho, vs))
+    # weights <u_j| rho |u_j> in the eigenbasis of sigma, rho @ vs through BLAS
+    u = np.real(np.einsum("ij,ij->j", vs.conj(), rho @ vs))
     tr_rho_log_sigma = 0.0
     for weight, ev in zip(u, ws):
         if ev > 0.0:
             tr_rho_log_sigma += weight * math.log2(ev)
         elif weight > EIG_CLAMP:
             return float("inf")
-    return tr_rho_log_rho - tr_rho_log_sigma
+    return -_entropy(wr) - tr_rho_log_sigma
 
 
 def relative_entropy(rho, sigma) -> float:

@@ -135,7 +135,7 @@ def _known_density(matrix: np.ndarray, w: np.ndarray) -> DensityMatrix:
     # a DensityMatrix of a hermitized matrix whose spectrum w (in any order) is
     # known: DensityMatrix's check after the Hermitian test, run on w, then the
     # matrix and w, sorted non-increasing, kept read-only
-    linalg._require_density(linalg._finite(matrix, "matrix"), w)
+    linalg._require_density(np.trace(linalg._finite(matrix, "matrix")), w)
     rho = _unchecked_density(matrix)
     object.__setattr__(rho, "_eigvals", _read_only(np.sort(w)[::-1]))
     return rho

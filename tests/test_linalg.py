@@ -64,6 +64,20 @@ def test_eigvals_of_a_stack_are_each_matrix_eigvals():
         assert np.max(np.abs(w_m - linalg.hermitian_eigvals(m))) <= 1e-14
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 8, 16])
+def test_eigh_of_a_stack_is_each_matrix_eigh_to_the_byte(k):
+    rng = np.random.default_rng(k)
+    stack = np.array([rand_hermitian(rng, k) for _ in range(5)])
+    stack[1] = np.eye(k)  # ties keep the solver's order, as for one matrix
+    spec = linalg._eigh(stack)
+    assert spec.eigenvalues.shape == (5, k) and spec.eigenvectors.shape == (5, k, k)
+    for m, w, v in zip(stack, spec.eigenvalues, spec.eigenvectors):
+        one = linalg._eigh(m)
+        assert w.tobytes() == one.eigenvalues.tobytes()
+        assert v.tobytes() == one.eigenvectors.tobytes()
+        assert np.max(np.abs(m @ v - v * w)) <= 1e-12 and np.all(np.diff(w) <= 0.0)
+
+
 def test_a_spectrum_is_frozen():
     spec = linalg.hermitian_eig(np.diag([1.0, 0.0]))
     for field in ("eigenvalues", "eigenvectors"):

@@ -124,16 +124,18 @@ def _not_psd(obs):
 
 def test_non_states_raise_what_the_density_check_raises(obs):
     rho = states.random_density(obs.dim, seed=9).matrix
-    with pytest.raises(TraceNotOneError):
-        instruments.luders(2 * rho, obs)
     bad = _not_psd(obs)
-    with pytest.raises(NotPositiveError):
-        instruments.luders(bad, obs)
+    for pinch in (instruments.luders, coherence.c_re_coarse):
+        with pytest.raises(TraceNotOneError):
+            pinch(2 * rho, obs)
+        with pytest.raises(NotPositiveError):
+            pinch(bad, obs)
     # a BipartiteState is checked when built, so this one is made unchecked
     st = states.BipartiteState(dims=(2, obs.dim),
                                state=states._unchecked_density(linalg.tensor(np.eye(2) / 2, bad)))
-    with pytest.raises(NotPositiveError):
-        coherence.luders_on_b(st, obs)
+    for pinch in (coherence.luders_on_b, coherence.qi_coherence):
+        with pytest.raises(NotPositiveError):
+            pinch(st, obs)
 
 
 @pytest.mark.parametrize("make", CONSTRUCTORS.values(), ids=CONSTRUCTORS.keys())
@@ -153,11 +155,14 @@ def test_hierarchy_gap_takes_sigma_from_the_fine_graining(eig_calls, monkeypatch
     fg = states.fine_graining(obs)
     rho = states.random_density(16, seed=11).matrix
     expect = linalg.relative_entropy(instruments.luders(rho, obs), instruments.dephase(rho, fg.basis))
-    defects = []
+    defects, built = [], []
     monkeypatch.setattr(linalg, "orthonormality_defect", lambda b: defects.append(b) or 0.0)
+    known = instruments._known_density
+    monkeypatch.setattr(instruments, "_known_density", lambda m, w: built.append(m) or known(m, w))
     eig_calls.clear()
     assert abs(coherence.hierarchy_gap(rho, obs, fg) - expect) <= 1e-12
     assert eig_calls.count("eig") == 0 and defects == []
+    assert len(built) == 1  # the pinched state; the dephased one is never built
 
 
 def test_a_block_layout_is_frozen_and_shared():
@@ -171,3 +176,89 @@ def test_a_block_layout_is_frozen_and_shared():
     assert all(not cols.flags.writeable for _, cols in groups)
     with pytest.raises(ValueError):
         mask[0, -1] = True
+
+
+# The coarse entropies read off the frame: no pinched matrix is built.
+
+
+@pytest.mark.parametrize("profile", [(2, 1, 1), (3, 3, 2), (4,) * 4, (8,) * 8], ids=str)
+def test_coarse_entropy_is_the_entropy_of_the_pinched_state_to_the_bit(profile):
+    d = sum(profile)
+    for seed in range(3):
+        obs = states.random_observable(d, profile, seed=seed)
+        rho = states.random_density(d, seed=seed + 20).matrix
+        expect = (linalg.von_neumann_entropy(instruments.luders(rho, obs))
+                  - linalg.von_neumann_entropy(rho))
+        assert coherence.c_re_coarse(rho, obs).hex() == expect.hex()
+
+
+@pytest.mark.parametrize("dims, profile", [((2, 2), (1, 1)), ((2, 3), (2, 1)), ((8, 8), (2,) * 4)],
+                         ids=str)
+def test_joint_coherence_is_the_entropy_of_the_b_pinching_to_the_bit(dims, profile):
+    obs = states.random_observable(dims[1], profile, seed=3)
+    for seed in range(3):
+        st = states.random_bipartite(*dims, seed=seed + 30)
+        pinched = coherence.luders_on_b(st, obs).state
+        expect = linalg.von_neumann_entropy(pinched) - linalg.von_neumann_entropy(st.state)
+        assert coherence.qi_coherence(st, obs).hex() == expect.hex()
+
+
+def test_coarse_entropy_raises_what_the_pinching_raises():
+    obs = states.random_observable(4, (2, 1, 1), seed=1)
+    flipped = states.random_density(4, seed=1).matrix - 0.3 * np.diag([1.0, -1.0, 1.0, -1.0])
+    for m, error, message in [
+        (np.eye(4) / 2, TraceNotOneError, "trace (1.9999999999999996+0j) is not 1 within 1e-08"),
+        (flipped, NotPositiveError, "eigenvalue -0.05503076734171565 below -1e-08"),
+    ]:
+        with pytest.raises(error) as coarse:
+            coherence.c_re_coarse(m, obs)
+        with pytest.raises(error) as pinched:
+            instruments.luders(m, obs)
+        assert str(coarse.value) == str(pinched.value) == message
+
+
+@pytest.mark.parametrize("profile", [(8,) * 8, (16, 16, 8, 8, 4, 4, 2, 2, 1, 1, 1, 1)], ids=str)
+def test_optimal_fine_grain_makes_one_eigh_per_block_width(eig_calls, profile):
+    obs = _from_projectors(64, profile)
+    obs._pinching()  # the frame's block bases are the observable's, made once
+    rho = states.random_density(64, seed=12).matrix
+    eig_calls.clear()
+    best = instruments.optimal_fine_grain(obs, rho)
+    assert eig_calls == ["eig"] * len({k for k in profile if k >= 2})
+    assert best.refines(obs)
+    rr = best.basis.conj().T @ rho @ best.basis
+    for s in best.block_slices():
+        assert _max_abs(rr[s, s] - np.diag(np.diag(rr[s, s]))) <= 1e-12
+
+
+def test_classical_correlation_diagonalizes_rho_a_once(eig_calls):
+    obs = states.random_observable(8, (2,) * 4, seed=13)
+    st = states.random_bipartite(8, 8, seed=13)
+    rho_a = st.reduced_a()
+    expect = sum(p_n * (linalg.relative_entropy(cond.reduced_a(), rho_a)
+                        + coherence.mutual_information(cond))
+                 for p_n, cond in coherence._conditional_states(st, obs))
+    eig_calls.clear()
+    assert abs(coherence.classical_correlation(st, obs) - expect) <= 1e-13
+    assert eig_calls.count("eig") == 1
+
+
+def test_relative_entropies_at_cli_scale_match_a_dense_reference():
+    # weights <v_j| rho |v_j> from the full product V^dag rho V, at d = 256
+    d = 256
+    obs = states.random_observable(d, (128, 96, 32), seed=14)
+    fg = states.fine_graining(obs)
+    rho = states.random_density(d, seed=14).matrix
+    sigma = states.random_density(d, seed=15).matrix
+
+    def dense(r, w_sigma, v):
+        w_r = np.clip(np.linalg.eigvalsh(r), 0.0, None)
+        u = np.real(np.diag(v.conj().T @ r @ v))
+        pos = w_r[w_r > linalg.EIG_CLAMP]
+        return float(np.sum(pos * np.log2(pos)) - np.sum(u * np.log2(w_sigma)))
+
+    w, v = np.linalg.eigh(sigma)
+    assert abs(linalg.relative_entropy(rho, sigma) - dense(rho, w, v)) <= 1e-12
+    pinched = instruments.luders(rho, obs).matrix
+    diag = np.real(np.diag(fg.basis.conj().T @ rho @ fg.basis))
+    assert abs(coherence.hierarchy_gap(rho, obs, fg) - dense(pinched, diag, fg.basis)) <= 1e-12
