@@ -41,13 +41,15 @@ def _fmt(x: float) -> str:
     return f"{x:.12e}"
 
 
-def _cell(z) -> str:
-    return f"{z.real:+.6f}{z.imag:+.6f}j"
+def _row(values) -> str:
+    """The cells of a complex row, "+re+imj" each to 6 decimals, two spaces apart."""
+    row = np.ascontiguousarray(values, dtype=complex)
+    return "  ".join(["%+.6f%+.6fj"] * row.size) % tuple(row.view(float).tolist())
 
 
 def _matrix_lines(m: np.ndarray):
     # lazy: main renders the lines only when it prints them, never under --json
-    return (f"  [ {'  '.join(map(_cell, row))} ]" for row in np.atleast_2d(m))
+    return (f"  [ {_row(row)} ]" for row in np.atleast_2d(m))
 
 
 def _labelled(rows) -> tuple[dict, list[str]]:
@@ -110,7 +112,7 @@ def _cmd_classify(args):
         if label != channels.NOT_IO:
             for n, (factor, diag) in enumerate(zip(doc["factors"], c)):
                 yield (f"kraus {n}: {factor['kind']} {factor['mapping']}"
-                       f"  diagonal [ {'  '.join(map(_cell, diag))} ]")
+                       f"  diagonal [ {_row(diag)} ]")
             yield f"completeness constraint satisfied: {'yes' if doc['completeness'] else 'no'}"
 
     return doc, lines()

@@ -11,7 +11,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DimMismatchError, IncompatibleFineGrainingError
-from .instruments import _pinch, _pinched, _pinched_entropy, generalized_luders, luders
+from .instruments import _pinch, _pinched, _pinched_entropy, generalized_luders
 from .states import BipartiteState, FineGraining, Observable, Povm, _known_density, fine_graining
 
 
@@ -67,16 +67,13 @@ def hierarchy_gap(rho, obs: Observable, fg: FineGraining | None = None) -> float
     measures, and vanishes exactly when the fine-graining diagonalizes every
     block of rho.
     """
-    r = linalg.as_square(rho)
+    r = linalg.as_square(rho, obs.dim, "state and observable")
     fg = _checked_fine_graining(obs, fg)
-    pinched = luders(r, obs)
-    # sigma, the dephased state, is read only through its eigensystem: its
-    # diagonal in fg.basis, which refines has checked. It needs no state check
-    # once the pinching has passed one: each entry lies in a block's spectrum.
-    diag = np.real(np.diag(fg.basis.conj().T @ r @ fg.basis))
-    sigma_eigs = linalg._clamped(diag), fg.basis
-    return linalg._relative_entropy_core(pinched.matrix, None, sigma_eigs,
-                                         linalg._clamped(pinched.eigenvalues()))
+    # the gap is S(Delta(rho)) - S(Pi(rho)): as fg refines obs, <u_j|Pi(rho)|u_j>
+    # is Delta(rho)'s eigenvalue, rho's diagonal in fg.basis, and each lies in
+    # a block's spectrum once the pinching has passed its state check
+    diag = np.real(np.einsum("ij,ij->j", fg.basis.conj(), r @ fg.basis))
+    return linalg._entropy(linalg._clamped(diag)) - _pinched_entropy(r, *obs._pinching())
 
 
 def mutual_information(state: BipartiteState) -> float:

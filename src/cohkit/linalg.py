@@ -31,9 +31,8 @@ state once into their observable's frame and diagonalize only its diagonal
 blocks, stacked by width, and ``dephase`` keeps its diagonal. Each is checked
 as a state on that spectrum, so none runs a d x d decomposition;
 ``c_re_coarse`` and ``qi_coherence`` read their entropy off that spectrum
-without building the pinched state.
-``hierarchy_gap`` passes the dephased state's diagonal and the fine-graining's
-basis as sigma's eigensystem to the relative entropy.
+without building the pinched state, and ``hierarchy_gap`` is that entropy's
+difference from the entropy of the state's diagonal in the fine-graining.
 The two drivers agree to rounding, not bit for bit: results are
 byte-reproducible across reruns on one numpy and LAPACK, and differ by up to
 about 2e-15 from versions that took every spectrum from ``eigh``.

@@ -3,13 +3,24 @@
 Matrices are stored row-major as [re, im] pairs. Files keep the layout of
 json.dumps(to_json(obj), indent=2) byte for byte; one writer formats the
 entry arrays directly, and save writes them a block at a time. The same
-writer prints the command line's --json documents.
+writer prints the command line's --json documents. The incoherent channels'
+Kraus operators are mostly zero, so the writer spells each run of zero pairs
+as one repeated text and formats only the other floats. That text is what
+json.dumps writes, because a zero pair is tested on the bits: it is
+(+0.0, +0.0), whose repr is 0.0 twice, and a pair holding -0.0 is formatted
+like any other.
 
 loads parses a document with one json.loads call whose object hook reads
 each matrix's entries, as soon as that matrix is parsed, into one flat array
 when they are [re, im] pairs of finite JSON numbers. So at most one matrix is
 held as Python lists, whatever the spelling of the text. Entries of any other
-form stay lists, for matrix_from_json to name what is wrong with them.
+form stay lists, for matrix_from_json to name what is wrong with them. The
+cyclic garbage collector is paused for that call and then set back as the
+caller had it: the decoder and the hook build a tree of lists, dicts,
+strings, numbers and arrays, which holds no reference cycle, so a collection
+could free nothing and would only walk the pairs of the matrix being read.
+The switch is process-wide, so loads running in two threads at once can leave
+the collector off; a threaded caller runs its loads one at a time.
 
 Sizes (a matrix's dim, a bipartite state's dims, a dilation's dimensions and
 a document's top-level dim) must be JSON integers; a top-level dim must match
@@ -22,8 +33,9 @@ the matching ValidationError subclass.
 
 from __future__ import annotations
 
+import gc
 import json
-from itertools import chain
+from itertools import chain, cycle
 
 import numpy as np
 
@@ -237,18 +249,27 @@ def _entries(a: np.ndarray, emit, indent: str) -> None:
     pair, number = indent + "  ", indent + "    "
     within = f",\n{number}"  # between re and im
     between = f"\n{pair}],\n{pair}[\n{number}"  # between two pairs
+    # a pair's text and the separator after it, which the list's last pair
+    # drops: a template, or the text of a zero pair, (+0.0, +0.0) on the bits
+    units = (f"%r{within}%r{between}", f"0.0{within}0.0{between}")
+    zero = ~a.view(np.uint64).reshape(-1, 2).any(axis=1)
     values = a.view(float)
     emit(f"[\n{pair}[\n{number}")
-    for start in range(0, values.size, 2 * _BLOCK):
-        block = values[start:start + 2 * _BLOCK]
-        if start:
-            emit(between)
+    for start in range(0, a.size, _BLOCK):
+        block, z = values[2 * start:2 * (start + _BLOCK)], zero[start:start + _BLOCK]
+        if z.any():
+            # runs alternate between nonzero and zero pairs, each one repeated unit
+            runs = np.diff(np.flatnonzero(np.diff(z, prepend=not z[0])), append=z.size).tolist()
+            template = "".join([u * n for u, n in zip(cycle(units[::-1] if z[0] else units), runs)])
+            block = block[np.repeat(~z, 2)]
+        else:
+            template = units[0] * z.size
         # %r is float.__repr__, which spells the non-finite floats nan, inf
         # and -inf; no finite float's repr holds those letters
-        text = between.join([f"%r{within}%r"] * (block.size // 2)) % tuple(block.tolist())
+        text = template % tuple(block.tolist())
         if not np.isfinite(block).all():
             text = text.replace("nan", "NaN").replace("inf", "Infinity")
-        emit(text)
+        emit(text if start + _BLOCK < a.size else text[:-len(between)])
     emit(f"\n{pair}]\n{indent}]")
 
 
@@ -380,12 +401,17 @@ def dumps(obj) -> str:
 
 
 def loads(text: str, expect: str | None = None):
+    enabled = gc.isenabled()
+    gc.disable()  # the decode makes no cycles: see the module docstring
     try:
         doc = json.loads(text, object_pairs_hook=_object)
     except ValueError as exc:  # a decode error, or an integer too long to convert
         raise ParseError(f"invalid JSON: {exc}") from exc
     except RecursionError:
         raise ParseError("invalid JSON: nesting too deep") from None
+    finally:
+        if enabled:
+            gc.enable()
     return from_json(doc, expect)
 
 

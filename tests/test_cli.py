@@ -441,16 +441,22 @@ FMT_NUMBER = re.compile(r"-?\d\.\d{12}e[+-]\d{2,}")
 MATRIX_CELL = re.compile(r"[+-]\d+\.\d{6}[+-]\d+\.\d{6}j")
 
 
+def _cell(z) -> str:
+    # one matrix cell as the text output spelled it cell by cell, kept here as
+    # the reference for cli._row's one format per row
+    return f"{z.real:+.6f}{z.imag:+.6f}j"
+
+
 def _json_numbers(doc, floats, cells):
     """Append, in document order, _fmt of every float of a --json document to
     floats and the text cell of every complex entry to cells."""
     if isinstance(doc, dict):
         if doc.get("type") == "matrix":
-            cells += [cli._cell(complex(re_, im)) for re_, im in doc["entries"]]
+            cells += [_cell(complex(re_, im)) for re_, im in doc["entries"]]
             return
         for key, value in doc.items():
             if key == "diagonal":
-                cells += [cli._cell(complex(re_, im)) for re_, im in value]
+                cells += [_cell(complex(re_, im)) for re_, im in value]
             else:
                 _json_numbers(value, floats, cells)
     elif isinstance(doc, list):
@@ -553,15 +559,53 @@ def test_json_output_renders_no_text_lines(tmp_path, monkeypatch):
     commands = [["measure", str(state), str(obs), "--json"], ["classify", str(gio), "--json"]]
     expect = [run_cli(*argv) for argv in commands]
 
-    def no_cells(z):
+    def no_cells(values):
         raise AssertionError("a matrix cell was rendered under --json")
 
-    monkeypatch.setattr(cli, "_cell", no_cells)
+    monkeypatch.setattr(cli, "_row", no_cells)
     for argv, want in zip(commands, expect):
         assert want[0] == 0
         assert run_cli(*argv) == want
     with pytest.raises(AssertionError, match="rendered under --json"):
         run_cli("classify", str(gio))
+
+
+def _complex(re_, im):
+    return np.stack([re_, im], axis=-1).view(complex)[..., 0]
+
+
+SPECIAL = [np.nan, -np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -4.9999995e-7, 4.9999995e-7, 1e300]
+
+
+def test_matrix_rows_render_as_the_cells_did():
+    rng = np.random.default_rng(31)
+    re_, im = rng.choice(SPECIAL, size=(2, 64, 64))
+    dense = rng.standard_normal((2, 64, 64))
+    for m in (_complex(re_, im), _complex(*dense), re_, dense[0], _complex(re_[0], im[0]),
+              np.array([[-0.0]])):
+        expect = [f"  [ {'  '.join(map(_cell, row))} ]" for row in np.atleast_2d(m)]
+        assert list(cli._matrix_lines(m)) == expect
+
+
+def test_d64_text_output_renders_every_cell_as_the_cells_did(tmp_path):
+    files = {name: str(tmp_path / f"{name}.json") for name in ("state", "obs", "gio", "io")}
+    for name, flags in [("state", ["state"]), ("obs", ["observable", "--profile", "32,16,16"]),
+                        ("gio", ["channel", "--family", "gio"]), ("io", ["channel", "--family", "io"])]:
+        assert run_cli("gen", *flags, "--dim", "64", "--seed", "4", "--out", files[name])[0] == 0
+    code, text, _ = run_cli("measure", files["state"], files["obs"])
+    doc = json.loads(run_cli("measure", files["state"], files["obs"], "--json")[1])
+    assert code == 0
+    cells = [_cell(complex(re_, im)) for re_, im in doc["luders_image"]["matrix"]["entries"]]
+    rows = [f"  [ {'  '.join(cells[i:i + 64])} ]" for i in range(0, 64 * 64, 64)]
+    assert text.splitlines()[2:66] == rows
+    for name in ("gio", "io"):
+        code, text, _ = run_cli("classify", files[name])
+        doc = json.loads(run_cli("classify", files[name], "--json")[1])
+        assert code == 0
+        diagonals = [line.split("diagonal [ ")[1] for line in text.splitlines() if "diagonal [" in line]
+        assert diagonals == [
+            "  ".join(_cell(complex(re_, im)) for re_, im in f["diagonal"]) + " ]"
+            for f in doc["factors"]]
 
 
 # each bad input with the exit code cli.main gives it; a library call raises the

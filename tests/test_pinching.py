@@ -125,7 +125,7 @@ def _not_psd(obs):
 def test_non_states_raise_what_the_density_check_raises(obs):
     rho = states.random_density(obs.dim, seed=9).matrix
     bad = _not_psd(obs)
-    for pinch in (instruments.luders, coherence.c_re_coarse):
+    for pinch in (instruments.luders, coherence.c_re_coarse, coherence.hierarchy_gap):
         with pytest.raises(TraceNotOneError):
             pinch(2 * rho, obs)
         with pytest.raises(NotPositiveError):
@@ -162,7 +162,7 @@ def test_hierarchy_gap_takes_sigma_from_the_fine_graining(eig_calls, monkeypatch
     eig_calls.clear()
     assert abs(coherence.hierarchy_gap(rho, obs, fg) - expect) <= 1e-12
     assert eig_calls.count("eig") == 0 and defects == []
-    assert len(built) == 1  # the pinched state; the dephased one is never built
+    assert built == []  # neither the pinched nor the dephased state is built
 
 
 def test_a_block_layout_is_frozen_and_shared():
@@ -212,9 +212,11 @@ def test_coarse_entropy_raises_what_the_pinching_raises():
     ]:
         with pytest.raises(error) as coarse:
             coherence.c_re_coarse(m, obs)
+        with pytest.raises(error) as gap:
+            coherence.hierarchy_gap(m, obs)
         with pytest.raises(error) as pinched:
             instruments.luders(m, obs)
-        assert str(coarse.value) == str(pinched.value) == message
+        assert str(coarse.value) == str(gap.value) == str(pinched.value) == message
 
 
 @pytest.mark.parametrize("profile", [(8,) * 8, (16, 16, 8, 8, 4, 4, 2, 2, 1, 1, 1, 1)], ids=str)

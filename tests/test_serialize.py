@@ -1,3 +1,4 @@
+import gc
 import json
 import tracemalloc
 
@@ -471,3 +472,94 @@ def test_dumps_of_special_values_in_every_block_is_byte_identical():
     values[-len(special) + 3:] = special[3:]
     a = values.view(complex).reshape(64, 64)
     assert serialize.dumps(a) == _oracle(a)
+
+
+# -- zero pairs, which the writer spells as repeated text -------------------
+
+def _pairs(n, nonzero=(), value=(0.5, -1.5)):
+    """n entries, all (+0.0, +0.0) but those at the indices nonzero."""
+    values = np.zeros((n, 2))
+    values[list(nonzero)] = value
+    return values.view(complex)[:, 0]
+
+
+ZERO_RUNS = {
+    "all-zero": _pairs(64 * 64),
+    "first": _pairs(64 * 64, [0]),
+    "last": _pairs(64 * 64, [64 * 64 - 1]),
+    "block-end": _pairs(64 * 64, [serialize._BLOCK - 1]),
+    "block-start": _pairs(64 * 64, [serialize._BLOCK]),
+    "run-across-blocks": _pairs(64 * 64, [10, 3 * serialize._BLOCK - 10]),
+    "one-pair": _pairs(1),
+    "signed-zeros": np.array([0.0, -0.0, -0.0, 0.0, 0.0, 0.0, -0.0, -0.0]).view(complex),
+    "non-finite": _pairs(64 * 64, range(serialize._BLOCK - 2, serialize._BLOCK + 2), (np.nan, np.inf))
+    + _pairs(64 * 64, [5, 2 * serialize._BLOCK], (-np.inf, 0.0)),
+    "checkerboard": np.where(np.indices((64, 64)).sum(axis=0) % 2 == 0, 0.0,
+                             np.arange(1, 64 * 64 + 1).reshape(64, 64) / 7.0 - 3.0j),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ZERO_RUNS))
+def test_zero_runs_are_written_as_the_stdlib_encoder_writes_them(name):
+    a = ZERO_RUNS[name].reshape(-1)
+    for m in (a.reshape(64, 64) if a.size == 64 * 64 else a, a[:, None]):
+        assert serialize.dumps(m) == _oracle(m)
+
+
+def test_a_pair_with_a_negative_zero_is_not_a_zero_pair():
+    a = ZERO_RUNS["signed-zeros"]
+    assert serialize.dumps(a).count("-0.0") == 4
+    back = serialize.loads(serialize.dumps(a), expect="matrix")
+    assert np.array_equal(np.signbit(back.view(float)).reshape(-1), np.signbit(a.view(float)))
+
+
+@pytest.mark.parametrize("d", [4, 16, 64])
+@pytest.mark.parametrize("family", ["gio", "sio", "io"])
+def test_incoherent_kraus_lists_are_written_as_the_stdlib_encoder_writes_them(family, d):
+    ch = {"gio": lambda: channels.random_gio(d, 3, seed=d),
+          "sio": lambda: channels.random_sio(d, 3, seed=d),
+          "io": lambda: channels.random_io(d, seed=d)}[family]()
+    assert serialize.dumps(ch) == _oracle(ch)
+
+
+# -- the collector, paused while loads decodes ------------------------------
+
+@pytest.mark.parametrize("text, error", [
+    (serialize.dumps(states.random_density(4, seed=40)), None),
+    ("not json at all", "invalid JSON"),
+    ("[" * 100_000, "nesting too deep"),
+], ids=["document", "invalid", "too-deep"])
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_loads_leaves_the_collector_as_it_found_it(text, error, enabled):
+    was = gc.isenabled()
+    try:
+        gc.enable() if enabled else gc.disable()
+        if error is None:
+            serialize.loads(text, expect="state")
+        else:
+            with pytest.raises(ParseError, match=error):
+                serialize.loads(text)
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable() if was else gc.disable()
+
+
+def test_loads_runs_no_collection():
+    text = serialize.dumps(channels.random_io(32, seed=41))
+    collections = []
+
+    def count(phase, info):
+        if phase == "start":
+            collections.append(info["generation"])
+
+    was = gc.isenabled()
+    gc.enable()
+    gc.collect()  # the young generation's count starts from zero
+    gc.callbacks.append(count)
+    try:
+        serialize.loads(text, expect="channel")
+    finally:
+        gc.callbacks.remove(count)
+        if not was:
+            gc.disable()
+    assert collections == []
